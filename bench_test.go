@@ -68,6 +68,74 @@ func benchCorpus(b *testing.B) (*synth.MedlineData, error) {
 	})
 }
 
+// benchSkewedT1024 builds the regime srcldabench's train_skewed_t1024
+// workload measures, at its size: a 1024-article superset of which 100
+// topics generate the corpus, ~3 signature words per topic, ~50 k tokens,
+// under the srclda binary's data-derived priors. Nearly every (word, source
+// topic) pair is unsupported here, so model build, the dense scan and Phi
+// are all dominated by the shared default-δ row.
+func benchSkewedT1024(b *testing.B) (*synth.MedlineData, core.Options) {
+	b.Helper()
+	data, err := synth.MedlineLike(synth.MedlineOptions{
+		NumTopics: 1024, LiveTopics: 100,
+		NumDocs: 260, AvgDocLen: 200,
+		WordsPerTopic: 3, ArticleTokens: 150,
+		Alpha: 0.1, Mu: 0.9, Sigma: 0.05,
+		Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const free = 8
+	return data, core.Options{
+		NumFreeTopics: free,
+		Alpha:         50.0 / float64(free+data.Source.Len()),
+		Beta:          200.0 / float64(data.Corpus.VocabSize()),
+		LambdaMode:    core.LambdaIntegrated, Mu: 0.7, Sigma: 0.3,
+		QuadraturePoints: 9, UseSmoothing: true,
+		Iterations: 1, Seed: 3,
+	}
+}
+
+// BenchmarkNewModel measures core.NewModel — per-topic g estimation, the δ
+// quadrature store and the prior-driven initial assignments — which every
+// trainer start, checkpoint restore and learner restart pays before the
+// first sweep.
+func BenchmarkNewModel(b *testing.B) {
+	small, err := benchCorpus(b)
+	if err != nil {
+		b.Fatal(err)
+	}
+	skewed, skewedOpts := benchSkewedT1024(b)
+	for _, c := range []struct {
+		name string
+		data *synth.MedlineData
+		opts core.Options
+	}{
+		{"small-T36", small, core.Options{
+			NumFreeTopics: 6, Alpha: 0.1, Beta: 0.01,
+			LambdaMode: core.LambdaIntegrated, Mu: 0.7, Sigma: 0.3,
+			QuadraturePoints: 7, UseSmoothing: true, Seed: 3,
+		}},
+		{"skewed-T1024", skewed, skewedOpts},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tokens := c.data.Corpus.TotalTokens()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := core.NewModel(c.data.Corpus, c.data.Source, c.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Close()
+			}
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(tokens)*float64(b.N)/secs, "tokens/sec")
+			}
+		})
+	}
+}
+
 // BenchmarkGibbsSweepSourceLDA measures one full-model collapsed Gibbs sweep.
 func BenchmarkGibbsSweepSourceLDA(b *testing.B) {
 	data, err := benchCorpus(b)
@@ -179,6 +247,11 @@ func BenchmarkSamplerKernels(b *testing.B) {
 // generate the corpus, so after a few sweeps each token's mass concentrates
 // on a handful of document- and word-active topics while the dense kernels
 // keep paying K + S·P per token.
+//
+// The "skewed-T1024" group is the regime srcldabench's train_skewed_t1024
+// measures (see benchSkewedT1024): the dense kernel's cost there is the
+// per-topic scan itself, not the quadrature, because almost every source
+// topic takes the cached default-mass path.
 func BenchmarkSweepModes(b *testing.B) {
 	small, err := benchCorpus(b)
 	if err != nil {
@@ -239,6 +312,14 @@ func BenchmarkSweepModes(b *testing.B) {
 			o.SweepMode = core.SweepShardedDocs
 			o.Shards = 4
 			o.Threads = 4
+		}},
+	)
+	skewed1k, skewed1kOpts := benchSkewedT1024(b)
+	modes = append(modes,
+		mode{"skewed-T1024/serial", skewed1k, func(o *core.Options) { *o = skewed1kOpts }},
+		mode{"skewed-T1024/sparse", skewed1k, func(o *core.Options) {
+			*o = skewed1kOpts
+			o.Sampler = core.SamplerSparse
 		}},
 	)
 	for _, md := range modes {

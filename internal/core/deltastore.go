@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"runtime"
 
 	"sourcelda/internal/knowledge"
+	"sourcelda/internal/parallel"
 	"sourcelda/internal/smoothing"
 )
 
@@ -25,7 +27,11 @@ import (
 // in lockstep with the topic loop — no hashing, no per-entry search, and
 // memory stays O(nnz) (article-supported words only) like the seed's maps,
 // not O(V·S). Unsupported (word, topic) pairs share the per-topic defaults
-// row ε^{e_p}. All (s, p) matrices are flattened s*P+p. Everything except
+// row ε^{e_p} — at superset scale that is nearly every pair, so whatever is
+// computed from the defaults row alone (the sweep's default mass, Phi's and
+// the held-out sampler's defaultProb, the initial-assignment prior) is
+// evaluated once per topic by its consumer and never per word or per token.
+// All (s, p) matrices are flattened s*P+p. Everything except
 // weights is fixed for the whole chain because δ derives from the knowledge
 // source, not the corpus; weights carries the current λ posterior per topic
 // (prior mass reweighted each sweep unless Options.FreezeLambdaWeights).
@@ -81,23 +87,34 @@ func newDeltaStore(src *knowledge.Source, V int, o *Options) *deltaStore {
 		}
 	}
 
-	// Pass 1: per-topic hyperparameters and g estimation; count per-word
-	// support to size the CSR block.
+	// Pass 1: per-topic hyperparameters and g estimation — the bulk of the
+	// build (one JS-divergence curve over V words per topic). Topics are
+	// independent: each estimator is seeded from its topic index and every
+	// goroutine writes only its own topics' slots, so the result does not
+	// depend on GOMAXPROCS.
 	gs := make([]*smoothing.G, S)
+	pool := parallel.NewPool(runtime.GOMAXPROCS(0))
+	pool.Run(S, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			art := src.Article(s)
+			h := art.Hyperparams(V, o.Epsilon)
+			ds.hyper[s] = h
+			if o.UseSmoothing {
+				cfg := o.SmoothingConfig
+				cfg.Seed = o.SmoothingConfig.Seed + int64(s)
+				gs[s] = smoothing.Estimate(h, art.SmoothedDistribution(V, o.Epsilon), cfg)
+			} else {
+				gs[s] = smoothing.Identity()
+			}
+			copy(ds.weights[s*P:(s+1)*P], weights)
+		}
+	})
+	pool.Close()
+
+	// Count per-word support to size the CSR block.
 	counts := make([]int32, V+1)
 	nnz := 0
-	for s := 0; s < S; s++ {
-		art := src.Article(s)
-		h := art.Hyperparams(V, o.Epsilon)
-		ds.hyper[s] = h
-		if o.UseSmoothing {
-			cfg := o.SmoothingConfig
-			cfg.Seed = o.SmoothingConfig.Seed + int64(s)
-			gs[s] = smoothing.Estimate(h, art.SmoothedDistribution(V, o.Epsilon), cfg)
-		} else {
-			gs[s] = smoothing.Identity()
-		}
-		copy(ds.weights[s*P:(s+1)*P], weights)
+	for _, h := range ds.hyper {
 		for _, w := range h.PresentWords() {
 			counts[w+1]++
 			nnz++
@@ -177,7 +194,8 @@ func searchTopic(sup []int32, s int) int {
 // values returns the P quadrature values (δ_w)^{e_p} for word w under
 // source topic s — the word's value row, or the topic's defaults row. It
 // binary-searches the word's support window and is meant for the cold
-// paths (initialization, Phi, likelihoods); the sweep hot path walks the
+// paths that visit few cells (an article's own words and non-zero counts in
+// Phi, the λ posterior's non-zero counts); the sweep hot path walks the
 // window in lockstep with the topic loop instead.
 func (ds *deltaStore) values(s, w int) []float64 {
 	sup, base := ds.wordEntries(w)
@@ -202,6 +220,14 @@ func (ds *deltaStore) wordProb(s int, vals []float64, nw, nsum float64) float64 
 		p += ds.weights[base+i] * (nw + v) / (nsum + ds.totals[base+i])
 	}
 	return p
+}
+
+// defaultProb returns wordProb for a word outside source topic s's article
+// that the topic holds no tokens of — Definition 3's shared ε^{e_p} row at
+// n_wt = 0. It depends on the topic alone (its total, λ weights and
+// exponents), so callers evaluate it once per topic, not once per word.
+func (ds *deltaStore) defaultProb(s int, nsum float64) float64 {
+	return ds.wordProb(s, ds.defaults[s*ds.P:(s+1)*ds.P], 0, nsum)
 }
 
 // topicWeights returns the quadrature weight row of source topic s.

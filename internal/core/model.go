@@ -197,24 +197,57 @@ func quadratureNodes(mu, sigma float64, a int) (nodes, weights []float64) {
 // the λ posterior (and slow-mixing chains generally) can lock onto a bad
 // mode.
 func (m *ChainRuntime) initAssignments() {
+	prior, supProb := m.initPrior(), m.initSupportProbs()
 	probs := make([]float64, m.T)
-	beta := m.opts.Beta
-	vBeta := float64(m.V) * beta
-	freeProb := beta / vBeta // uniform over V for an empty free topic
-	ds := m.delta
 	for d, doc := range m.c.Docs {
 		for i, w := range doc.Words {
-			for t := 0; t < m.K; t++ {
-				probs[t] = freeProb
-			}
-			for s := 0; s < m.S; s++ {
-				probs[m.K+s] = ds.wordProb(s, ds.values(s, w), 0, 0)
-			}
+			m.initWordProbs(prior, supProb, w, probs)
 			k := m.r.Categorical(probs)
 			m.z[d][i] = k
 			m.counts.add(d, w, k)
 		}
 	}
+}
+
+// initWordProbs writes word w's initial-assignment distribution into probs:
+// the shared prior vector, overwritten at the topics whose articles hold w.
+func (m *ChainRuntime) initWordProbs(prior, supProb []float64, w int, probs []float64) {
+	copy(probs, prior)
+	sup, base := m.delta.wordEntries(w)
+	for j, s := range sup {
+		probs[m.K+int(s)] = supProb[base+j]
+	}
+}
+
+// initSupportProbs returns, per CSR entry of the δ store, the empty-chain
+// word probability of that (word, source topic) pair. A word's tokens all
+// start from the same distribution, so the quadrature runs once per
+// supported pair instead of once per token.
+func (m *ChainRuntime) initSupportProbs() []float64 {
+	ds := m.delta
+	out := make([]float64, len(ds.entryTopic))
+	for e, s := range ds.entryTopic {
+		out[e] = ds.wordProb(int(s), ds.vals[e*ds.P:(e+1)*ds.P], 0, 0)
+	}
+	return out
+}
+
+// initPrior returns the T-vector an empty chain assigns a word no article
+// supports: β/Vβ for every free topic, the default-δ probability ε^e/Σδ^e
+// (λ-integrated) for every source topic. It is the same for every token, so
+// initAssignments builds it once.
+func (m *ChainRuntime) initPrior() []float64 {
+	prior := make([]float64, m.T)
+	beta := m.opts.Beta
+	vBeta := float64(m.V) * beta
+	freeProb := beta / vBeta // uniform over V for an empty free topic
+	for t := 0; t < m.K; t++ {
+		prior[t] = freeProb
+	}
+	for s := 0; s < m.S; s++ {
+		prior[m.K+s] = m.delta.defaultProb(s, 0)
+	}
+	return prior
 }
 
 // Run performs the given number of collapsed Gibbs sweeps (Algorithm 1's
@@ -466,14 +499,34 @@ func (m *ChainRuntime) Phi() [][]float64 {
 		}
 		phi[t] = row
 	}
+	// A source topic gives one probability — its default-δ quadrature at
+	// n_wt = 0 — to every word outside its article that it holds no tokens of,
+	// which at superset scale is nearly all of V. Evaluate that once per
+	// topic and the full quadrature only where it differs: the article's own
+	// words here, the non-zero count cells in the row-major slab pass below.
 	ds := m.delta
+	nsum := make([]float64, m.S)
 	for s := 0; s < m.S; s++ {
 		t := m.K + s
+		nsum[s] = float64(cs.topicTotal[t])
 		row := make([]float64, m.V)
-		nsum := float64(cs.topicTotal[t])
-		for w := 0; w < m.V; w++ {
-			row[w] = ds.wordProb(s, ds.values(s, w), float64(cs.wordTopic[w*m.T+t]), nsum)
+		def := ds.defaultProb(s, nsum[s])
+		for w := range row {
+			row[w] = def
 		}
+		for _, w := range ds.hyper[s].PresentWords() {
+			row[w] = ds.wordProb(s, ds.values(s, w), float64(cs.wordTopic[w*m.T+t]), nsum[s])
+		}
+		phi[t] = row
+	}
+	for w := 0; w < m.V; w++ {
+		for s, n := range cs.wordRow(w)[m.K:] {
+			if n != 0 {
+				phi[m.K+s][w] = ds.wordProb(s, ds.values(s, w), float64(n), nsum[s])
+			}
+		}
+	}
+	for _, row := range phi[m.K:] {
 		// The quadrature mixture of normalized ratios is normalized up to
 		// quadrature error; renormalize exactly.
 		var total float64
@@ -486,7 +539,6 @@ func (m *ChainRuntime) Phi() [][]float64 {
 				row[w] *= inv
 			}
 		}
-		phi[t] = row
 	}
 	return phi
 }

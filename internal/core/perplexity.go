@@ -40,11 +40,48 @@ func (m *ChainRuntime) HeldOutPerplexity(test *corpus.Corpus, iterations, burnIn
 	if burnIn >= iterations {
 		return 0, fmt.Errorf("core: held-out burn-in %d leaves no sampling sweeps out of %d iterations; burnIn must be < iterations", burnIn, iterations)
 	}
-	samples := iterations - burnIn
+	theta := m.heldOutTheta(test, iterations, burnIn, seed)
+
+	phi := m.Phi()
+	var logSum float64
+	var tokens int
+	for d, doc := range test.Docs {
+		for _, w := range doc.Words {
+			var p float64
+			for t := 0; t < m.T; t++ {
+				p += theta[d][t] * phi[t][w]
+			}
+			if p <= 0 {
+				p = math.SmallestNonzeroFloat64
+			}
+			logSum += math.Log(p)
+			tokens++
+		}
+	}
+	if tokens == 0 {
+		return 0, errors.New("core: held-out corpus has no tokens")
+	}
+	return math.Exp(-logSum / float64(tokens)), nil
+}
+
+// heldOutTheta runs the held-out Gibbs chain of HeldOutPerplexity (whose
+// validated schedule it takes: 0 ≤ burnIn < iterations) and returns θ̃
+// averaged over the post-burn-in sweeps. Topics eliminated by §III-C3
+// pruning take no part: they receive no initial assignment, sample with
+// probability zero and are left out of θ̃'s normalization, so their θ̃ mass is
+// exactly 0 rather than a share a "dead" topic soaks up. With nothing pruned
+// every draw and every sum is the one the unpruned code made.
+func (m *ChainRuntime) heldOutTheta(test *corpus.Corpus, iterations, burnIn int, seed int64) [][]float64 {
 	r := rng.New(seed)
 	o := &m.opts
 	alpha, beta := o.Alpha, o.Beta
 	vBeta := float64(m.V) * beta
+	enabled := make([]int, 0, m.T)
+	for t, off := range m.disabled {
+		if !off {
+			enabled = append(enabled, t)
+		}
+	}
 
 	D := test.NumDocs()
 	ztil := make([][]int, D)
@@ -62,12 +99,12 @@ func (m *ChainRuntime) HeldOutPerplexity(test *corpus.Corpus, iterations, burnIn
 		return row
 	}
 
-	// Random initialization of test assignments.
+	// Random initialization of test assignments over the enabled topics.
 	for d, doc := range test.Docs {
 		ztil[d] = make([]int, len(doc.Words))
 		ndTil[d] = make([]int, m.T)
 		for i, w := range doc.Words {
-			k := r.Intn(m.T)
+			k := enabled[r.Intn(len(enabled))]
 			ztil[d][i] = k
 			ndTil[d][k]++
 			ndsumTil[d]++
@@ -76,7 +113,23 @@ func (m *ChainRuntime) HeldOutPerplexity(test *corpus.Corpus, iterations, burnIn
 		}
 	}
 
-	probs := make([]float64, m.T)
+	// defProb[s] is source topic s's word probability for a word outside its
+	// article with no train or held-out tokens in the topic — the per-topic
+	// default Phi() uses, here a function of the combined total, so it is
+	// refreshed whenever a held-out token enters or leaves the topic.
+	ds := m.delta
+	P := ds.P
+	defProb := make([]float64, m.S)
+	refreshDefault := func(t int) {
+		if t >= m.K {
+			defProb[t-m.K] = ds.defaultProb(t-m.K, float64(int(m.counts.topicTotal[t])+nwsumTil[t]))
+		}
+	}
+	for t := m.K; t < m.T; t++ {
+		refreshDefault(t)
+	}
+
+	probs := make([]float64, m.T) // disabled entries stay 0
 	thetaSum := make([][]float64, D)
 	for d := range thetaSum {
 		thetaSum[d] = make([]float64, m.T)
@@ -91,17 +144,33 @@ func (m *ChainRuntime) HeldOutPerplexity(test *corpus.Corpus, iterations, burnIn
 				nww[old]--
 				nd[old]--
 				nwsumTil[old]--
+				refreshDefault(old)
 
 				trainW := m.counts.wordRow(w)
-				for t := 0; t < m.T; t++ {
+				sup, base := ds.wordEntries(w)
+				idx := 0
+				for _, t := range enabled {
 					docPart := float64(nd[t]) + alpha
 					combinedW := float64(int(trainW[t]) + nww[t])
 					combinedSum := float64(int(m.counts.topicTotal[t]) + nwsumTil[t])
 					if t < m.K {
 						probs[t] = (combinedW + beta) / (combinedSum + vBeta) * docPart
-					} else {
-						s := t - m.K
-						probs[t] = m.delta.wordProb(s, m.delta.values(s, w), combinedW, combinedSum) * docPart
+						continue
+					}
+					// Walk the word's (ascending) support row in step with
+					// the topic loop, as the training kernel does.
+					s := t - m.K
+					for idx < len(sup) && int(sup[idx]) < s {
+						idx++
+					}
+					switch {
+					case idx < len(sup) && int(sup[idx]) == s:
+						e := base + idx
+						probs[t] = ds.wordProb(s, ds.vals[e*P:(e+1)*P], combinedW, combinedSum) * docPart
+					case combinedW == 0:
+						probs[t] = defProb[s] * docPart
+					default:
+						probs[t] = ds.wordProb(s, ds.defaults[s*P:(s+1)*P], combinedW, combinedSum) * docPart
 					}
 				}
 				k := r.Categorical(probs)
@@ -109,46 +178,27 @@ func (m *ChainRuntime) HeldOutPerplexity(test *corpus.Corpus, iterations, burnIn
 				nww[k]++
 				nd[k]++
 				nwsumTil[k]++
+				refreshDefault(k)
 			}
 		}
 		if iter >= burnIn {
-			tAlpha := float64(m.T) * alpha
+			tAlpha := float64(len(enabled)) * alpha
 			for d := range test.Docs {
 				den := float64(ndsumTil[d]) + tAlpha
-				for t := 0; t < m.T; t++ {
+				for _, t := range enabled {
 					thetaSum[d][t] += (float64(ndTil[d][t]) + alpha) / den
 				}
 			}
 		}
 	}
-	// Normalize θ̃ once: burnIn < iterations guarantees samples ≥ 1, and the
-	// per-token scoring loop below then reads plain averages instead of
+	// Normalize θ̃ once: burnIn < iterations guarantees at least one sample,
+	// and the per-token scoring loop then reads plain averages instead of
 	// dividing inside its inner loop.
-	inv := 1 / float64(samples)
+	inv := 1 / float64(iterations-burnIn)
 	for d := range thetaSum {
 		for t := range thetaSum[d] {
 			thetaSum[d][t] *= inv
 		}
 	}
-
-	phi := m.Phi()
-	var logSum float64
-	var tokens int
-	for d, doc := range test.Docs {
-		for _, w := range doc.Words {
-			var p float64
-			for t := 0; t < m.T; t++ {
-				p += thetaSum[d][t] * phi[t][w]
-			}
-			if p <= 0 {
-				p = math.SmallestNonzeroFloat64
-			}
-			logSum += math.Log(p)
-			tokens++
-		}
-	}
-	if tokens == 0 {
-		return 0, errors.New("core: held-out corpus has no tokens")
-	}
-	return math.Exp(-logSum / float64(tokens)), nil
+	return thetaSum
 }

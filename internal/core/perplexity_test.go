@@ -51,3 +51,46 @@ func TestHeldOutPerplexityRejectsBadSchedule(t *testing.T) {
 		t.Fatalf("zero burn-in rejected: %v", err)
 	}
 }
+
+// TestHeldOutThetaSkipsPrunedTopics is the regression test for held-out
+// estimation ignoring §III-C3 pruning: test tokens used to be initialised
+// with r.Intn(T) and resampled with a non-zero conditional for disabled
+// topics, so an eliminated topic kept a share of every held-out θ̃.
+func TestHeldOutThetaSkipsPrunedTopics(t *testing.T) {
+	data := sweepFixture(t)
+	m, err := Fit(data.Corpus, data.Source, Options{
+		NumFreeTopics: 3, Alpha: 0.2, Beta: 0.01,
+		LambdaMode: LambdaIntegrated, Mu: 0.7, Sigma: 0.3, QuadraturePoints: 5,
+		PruneDeadTopics: true, PruneAfter: 4, PruneEvery: 3, PruneMinDocs: 8,
+		Iterations: 8, Seed: 4242,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	pruned := 0
+	for _, off := range m.disabled {
+		if off {
+			pruned++
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("fixture pruned nothing")
+	}
+	theta := m.heldOutTheta(data.Corpus, 10, 4, 7)
+	for d, row := range theta {
+		var total float64
+		for k, p := range row {
+			if m.disabled[k] && p != 0 {
+				t.Fatalf("doc %d: pruned topic %d holds θ̃ mass %v", d, k, p)
+			}
+			total += p
+		}
+		if total < 1-1e-9 || total > 1+1e-9 {
+			t.Fatalf("doc %d: θ̃ sums to %v over the surviving topics", d, total)
+		}
+	}
+	if _, err := m.HeldOutPerplexity(data.Corpus, 10, 4, 7); err != nil {
+		t.Fatal(err)
+	}
+}

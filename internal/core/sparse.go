@@ -35,23 +35,25 @@ import "math"
 // order and touches O(|doc nnz| + |word nnz| + |sup(w)|·P) state per token
 // instead of K + S·P.
 //
-// The cached totals (freeSmooth, srcSmooth) and per-topic sums (srcW, srcD)
-// are maintained by refreshTopic in O(1)/O(P) per count change, and rebuilt
-// from scratch — together with the word nonzero lists — by rebuild at every
-// bulk-change point (view construction, the sharded sweep barrier, λ
-// posterior reweighting). The whole structure is therefore a pure function
-// of the current count slabs: checkpoint restore rebuilds it for free and a
-// resumed sparse chain stays bit-identical to an uninterrupted one.
+// The cached totals (freeSmooth, srcSmooth) and per-topic sums (srcW, and
+// the view's defMass for D_s) are maintained by refreshTopic in O(1)/O(P)
+// per count change, and rebuilt from scratch — together with the word
+// nonzero lists — by rebuild at every bulk-change point (view construction,
+// the sharded sweep barrier, λ posterior reweighting). The whole structure
+// is therefore a pure function of the current count slabs: checkpoint
+// restore rebuilds it for free and a resumed sparse chain stays
+// bit-identical to an uninterrupted one.
 type sparseState struct {
 	v *gibbsView
 
 	// freeSmooth = Σ_{t<K} αβ·freeDen[t], the smoothing-only bucket total.
 	freeSmooth float64
-	// srcSmooth = Σ_s α·srcD[s], the default-δ bucket total before the
+	// srcSmooth = Σ_s α·defMass[s], the default-δ bucket total before the
 	// per-token support correction.
 	srcSmooth float64
-	// srcW[s] = Σ_p wInv[s·P+p]; srcD[s] = Σ_p wInv[s·P+p]·defaults[s·P+p].
-	srcW, srcD []float64
+	// srcW[s] = Σ_p wInv[s·P+p]. Its companion D_s = Σ_p wInv[s·P+p]·
+	// defaults[s·P+p] is the view's defMass, shared with the dense kernel.
+	srcW []float64
 
 	// wordTopics[w] lists the topics with wordTopic[w·T+t] > 0 in ascending
 	// order — the word bucket's iteration set, maintained across the whole
@@ -78,26 +80,22 @@ func newSparseState(v *gibbsView) *sparseState {
 	return &sparseState{
 		v:          v,
 		srcW:       make([]float64, v.S),
-		srcD:       make([]float64, v.S),
 		wordTopics: make([][]int32, v.m.V),
 		docTopics:  make([]int32, 0, v.T),
 	}
 }
 
-// refreshSource recomputes source topic s's cached quadrature sums after its
-// wInv row changed, adjusting the default-δ bucket total by the difference.
-func (sp *sparseState) refreshSource(s int) {
+// refreshSource recomputes source topic s's cached weight sum after its wInv
+// row changed and moves the default-δ bucket total by the change in the
+// topic's default mass, which the view has already refreshed from oldD.
+func (sp *sparseState) refreshSource(s int, oldD float64) {
 	v := sp.v
-	base := s * v.P
-	wi := v.wInv[base : base+v.P]
-	defs := v.m.delta.defaults[base : base+v.P]
-	var w, d float64
-	for p := range wi {
-		w += wi[p]
-		d += wi[p] * defs[p]
+	var w float64
+	for _, x := range v.wInv[s*v.P : (s+1)*v.P] {
+		w += x
 	}
-	sp.srcSmooth += v.alpha * (d - sp.srcD[s])
-	sp.srcW[s], sp.srcD[s] = w, d
+	sp.srcSmooth += v.alpha * (v.defMass[s] - oldD)
+	sp.srcW[s] = w
 }
 
 // resyncTotals recomputes the two accumulated bucket totals from the cached
@@ -107,7 +105,7 @@ func (sp *sparseState) refreshSource(s int) {
 // every sweep boundary (O(K + S), negligible) puts the uninterrupted and
 // resumed chains on the exact same values, which is what keeps sparse
 // resume bit-for-bit identical; it also stops drift from ever growing past
-// one sweep. The per-topic inputs themselves (freeDen, srcD) never drift:
+// one sweep. The per-topic inputs themselves (freeDen, defMass) never drift:
 // refreshTopic/refreshSource recompute them exactly on every change.
 func (sp *sparseState) resyncTotals() {
 	v := sp.v
@@ -118,7 +116,7 @@ func (sp *sparseState) resyncTotals() {
 	sp.freeSmooth = v.alpha * v.beta * fs
 	var ss float64
 	for s := 0; s < v.S; s++ {
-		ss += sp.srcD[s]
+		ss += v.defMass[s]
 	}
 	sp.srcSmooth = v.alpha * ss
 }
@@ -215,7 +213,7 @@ func (sp *sparseState) draw(u float64) (topic int, ok bool) {
 
 	// Exact V_s(w) over the word's support row, and the default-δ bucket's
 	// correction Σ_{s ∈ sup(w)} α·(V_s(w) − D_s). This is the only P-wide
-	// work per token; unsupported topics ride the cached srcD totals.
+	// work per token; unsupported topics ride the cached defMass totals.
 	if cap(sp.supVals) < len(sup) {
 		sp.supVals = make([]float64, len(sup))
 	}
@@ -230,7 +228,7 @@ func (sp *sparseState) draw(u float64) (topic int, ok bool) {
 			acc += wi[p] * vals[p]
 		}
 		supVals[i] = acc
-		corr += acc - sp.srcD[s]
+		corr += acc - v.defMass[s]
 	}
 	srcAlpha := sp.srcSmooth + alpha*corr
 
@@ -270,7 +268,7 @@ func (sp *sparseState) draw(u float64) (topic int, ok bool) {
 			for idx < len(sup) && int(sup[idx]) < s {
 				idx++
 			}
-			V := sp.srcD[s]
+			V := v.defMass[s]
 			if idx < len(sup) && int(sup[idx]) == s {
 				V = supVals[idx]
 			}
@@ -302,7 +300,7 @@ func (sp *sparseState) draw(u float64) (topic int, ok bool) {
 	// mass is the α-weighted prior sliver — so the O(S) walk is cold.
 	idx = 0
 	for s := 0; s < v.S; s++ {
-		V := sp.srcD[s]
+		V := v.defMass[s]
 		if idx < len(sup) && int(sup[idx]) == s {
 			V = supVals[idx]
 			idx++
@@ -351,7 +349,7 @@ func (sp *sparseState) fillFromBuckets(out []float64) {
 	srcV := make([]float64, v.S)
 	idx := 0
 	for s := 0; s < v.S; s++ {
-		V := sp.srcD[s]
+		V := v.defMass[s]
 		if idx < len(sup) && int(sup[idx]) == s {
 			wi := v.wInv[s*P : (s+1)*P]
 			vals := ds.vals[(base+idx)*P : (base+idx+1)*P]

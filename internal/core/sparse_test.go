@@ -93,7 +93,7 @@ func checkViewAgainstDense(t *testing.T, name string, m *Model, v *gibbsView, lo
 	}
 	var srcSmooth float64
 	for s := 0; s < v.S; s++ {
-		srcSmooth += v.alpha * v.sparse.srcD[s]
+		srcSmooth += v.alpha * v.defMass[s]
 	}
 	if diff := math.Abs(srcSmooth - v.sparse.srcSmooth); diff > tol*(1+srcSmooth) {
 		t.Fatalf("%s: srcSmooth drifted: incremental %v vs recomputed %v", name, v.sparse.srcSmooth, srcSmooth)

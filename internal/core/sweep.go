@@ -17,6 +17,17 @@ import (
 // source topics, yet a resampled token changes n_t for only two topics.
 // Caching the reciprocals and refreshing just those two rows replaces
 // K + S·P divisions per token with at most 2·P.
+//
+// The second cache is the default mass. The knowledge source is a superset
+// (§III-C3), so for almost every (token, source topic) pair the word is
+// outside the topic's article and the topic holds no tokens of it: the pair's
+// quadrature runs over the shared defaults row ε^{e_p} with n_wt = 0 and is a
+// constant of the topic, not of the word. defMass holds that constant per
+// topic; fill runs the P-term loop only for supported pairs and non-zero
+// counts. The refresh invariant is wInv's: refreshTopic recomputes both after
+// any change to the topic's total, λ weights or disabled flag, and defMass is
+// accumulated exactly as the loop it stands in for, so every kernel draws
+// the chain it drew without the cache.
 type gibbsView struct {
 	m          *ChainRuntime
 	K, T, S, P int
@@ -35,6 +46,10 @@ type gibbsView struct {
 	// source-topic probability is a P-term multiply-accumulate; 0 when the
 	// topic is disabled.
 	wInv []float64
+	// defMass[s] = Σ_p defaults[s*P+p]·wInv[s*P+p], source topic s's whole
+	// quadrature for a word outside its article that it holds no tokens of;
+	// refreshed together with wInv (and so 0 when the topic is disabled).
+	defMass []float64
 
 	// Per-token state, set by setToken and the caller before fill runs.
 	tokenRow []int32 // wordTopic row of the current word
@@ -63,6 +78,7 @@ func newGibbsView(m *ChainRuntime, wordTopic, topicTotal []int32, useSparse bool
 		topicTotal: topicTotal,
 		freeDen:    make([]float64, m.K),
 		wInv:       make([]float64, m.S*m.delta.P),
+		defMass:    make([]float64, m.S),
 	}
 	v.fillFn = v.fill
 	if useSparse {
@@ -79,7 +95,9 @@ func newGibbsView(m *ChainRuntime, wordTopic, topicTotal []int32, useSparse bool
 
 // fill implements parallel.FillFunc for the current token: out[i] is the
 // unnormalized P(z = lo+i | …) of Eq. 2 (free topics) or Eq. 3 with λ
-// integrated by quadrature (source topics). Disabled topics fall out with
+// integrated by quadrature (source topics). A source topic outside the
+// word's support row that holds no tokens of the word takes its cached
+// default mass instead of the P-term loop. Disabled topics fall out with
 // probability zero because their cached denominators are zeroed.
 func (v *gibbsView) fill(lo, hi int, out []float64) {
 	row, doc := v.tokenRow, v.docRow
@@ -105,6 +123,10 @@ func (v *gibbsView) fill(lo, hi int, out []float64) {
 			e := v.supBase + idx
 			vals = ds.vals[e*P : (e+1)*P]
 			idx++
+		} else if row[t] == 0 {
+			// Unsupported word, no tokens: the topic's cached default mass.
+			out[t-lo] = v.defMass[s] * (float64(doc[t]) + v.alpha)
+			continue
 		} else {
 			vals = ds.defaults[s*P : (s+1)*P]
 		}
@@ -167,9 +189,13 @@ func (v *gibbsView) inc(t int) {
 	v.refreshTopic(t)
 }
 
-// refreshTopic recomputes topic t's cached denominators after its total
-// changed (or its disabled flag / quadrature weights did), keeping the
-// sparse bucket totals in step with the same change.
+// refreshTopic recomputes topic t's cached denominators — and, for a source
+// topic, the default mass derived from them — after its total changed (or
+// its disabled flag / quadrature weights did), keeping the sparse bucket
+// totals in step with the same change. Every write to topicTotal, weights or
+// disabled that a view samples against must be followed by this call (or
+// rebuildDenoms) before the next fill: wInv and defMass are valid only
+// relative to the values they were computed from.
 func (v *gibbsView) refreshTopic(t int) {
 	if t < v.K {
 		den := 0.0
@@ -185,17 +211,26 @@ func (v *gibbsView) refreshTopic(t int) {
 	s := t - v.K
 	base := s * v.P
 	wi := v.wInv[base : base+v.P]
+	ds := v.m.delta
 	if v.m.disabled[t] {
 		clear(wi)
 	} else {
-		ds := v.m.delta
 		tot := float64(v.topicTotal[t])
 		for p := range wi {
 			wi[p] = ds.weights[base+p] / (tot + ds.totals[base+p])
 		}
 	}
+	// The default mass must be the bits fill's P-term loop produces over the
+	// defaults row at n_wt = 0, where (n_wt + d_p) is d_p exactly: the same
+	// products, accumulated left to right from zero.
+	old := v.defMass[s]
+	var dm float64
+	for p, d := range ds.defaults[base : base+v.P] {
+		dm += d * wi[p]
+	}
+	v.defMass[s] = dm
 	if v.sparse != nil {
-		v.sparse.refreshSource(s)
+		v.sparse.refreshSource(s, old)
 	}
 }
 

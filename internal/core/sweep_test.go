@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"sourcelda/internal/rng"
 	"sourcelda/internal/synth"
 )
 
@@ -221,5 +223,219 @@ func TestSweepModeStringer(t *testing.T) {
 	}
 	if SweepMode(9).String() == "" {
 		t.Fatal("unknown enum value should still render")
+	}
+}
+
+// fillReference is the collapsed conditional exactly as gibbsView.fill
+// evaluated it before the default-δ mass was cached per topic: the full
+// P-term quadrature for every source topic, supported or not, with each node
+// weight divided by its denominator on the spot rather than read from wInv.
+// It is the oracle fill must match bit for bit — which also catches a wInv or
+// defMass entry left stale by a missed refreshTopic.
+func fillReference(v *gibbsView, lo, hi int, out []float64) {
+	m, ds, P := v.m, v.m.delta, v.P
+	for t := lo; t < hi; t++ {
+		docPart := float64(v.docRow[t]) + v.alpha
+		nw := float64(v.tokenRow[t])
+		tot := float64(v.topicTotal[t])
+		if t < v.K {
+			den := 0.0
+			if !m.disabled[t] {
+				den = 1 / (tot + v.vBeta)
+			}
+			out[t-lo] = (nw + v.beta) * den * docPart
+			continue
+		}
+		s := t - v.K
+		vals := ds.values(s, v.curWord)
+		var acc float64
+		for p := 0; p < P; p++ {
+			wi := 0.0
+			if !m.disabled[t] {
+				wi = ds.weights[s*P+p] / (tot + ds.totals[s*P+p])
+			}
+			acc += (nw + vals[p]) * wi
+		}
+		out[t-lo] = acc * docPart
+	}
+}
+
+// phiReference is Phi() as it stood before the per-topic default
+// probability: values + wordProb for every (topic, word) cell.
+func phiReference(m *ChainRuntime) [][]float64 {
+	phi := make([][]float64, m.T)
+	vBeta := float64(m.V) * m.opts.Beta
+	for t := 0; t < m.T; t++ {
+		row := make([]float64, m.V)
+		nsum := float64(m.counts.topicTotal[t])
+		for w := range row {
+			n := float64(m.counts.wordTopic[w*m.T+t])
+			if t < m.K {
+				row[w] = (n + m.opts.Beta) / (nsum + vBeta)
+			} else {
+				row[w] = m.delta.wordProb(t-m.K, m.delta.values(t-m.K, w), n, nsum)
+			}
+		}
+		if t >= m.K {
+			var total float64
+			for _, p := range row {
+				total += p
+			}
+			if total > 0 {
+				inv := 1 / total
+				for w := range row {
+					row[w] *= inv
+				}
+			}
+		}
+		phi[t] = row
+	}
+	return phi
+}
+
+func bitsEqual(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: entry %d is %v (%#x), oracle %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// checkOracles compares fill — whole-range and in chunks that start
+// mid-range, as the parallel kernels call it — against fillReference for
+// every token of documents [lo, hi) seen through view v with the token
+// removed (the state the kernels sample in), then Phi against phiReference.
+func checkOracles(t *testing.T, name string, m *ChainRuntime, v *gibbsView, lo, hi int, r *rng.RNG) {
+	t.Helper()
+	got, want := make([]float64, m.T), make([]float64, m.T)
+	for d := lo; d < hi; d++ {
+		v.setDoc(m.counts.docRow(d))
+		for i, w := range m.c.Docs[d].Words {
+			v.setToken(w)
+			v.dec(m.z[d][i])
+			fillReference(v, 0, m.T, want)
+			v.fill(0, m.T, got)
+			bitsEqual(t, name+": fill", got, want)
+			a, b := r.Intn(m.T), r.Intn(m.T)+1
+			if a >= b {
+				a, b = b-1, a+1
+			}
+			v.fill(a, b, got[:b-a])
+			bitsEqual(t, name+": chunked fill", got[:b-a], want[a:b])
+			v.inc(m.z[d][i])
+		}
+	}
+	ref := phiReference(m)
+	for k, row := range m.Phi() {
+		bitsEqual(t, name+": Phi row", row, ref[k])
+	}
+}
+
+func oracleOptions() Options {
+	return Options{
+		NumFreeTopics: 3, Alpha: 0.2, Beta: 0.01,
+		LambdaMode: LambdaIntegrated, Mu: 0.7, Sigma: 0.3,
+		QuadraturePoints: 5, UseSmoothing: true, LambdaBurnIn: 3,
+		PruneDeadTopics: true, PruneAfter: 4, PruneEvery: 3, PruneMinDocs: 8,
+		Seed: 4242,
+	}
+}
+
+// TestFillOracle drives randomized chains through every state that touches
+// the cached default mass — pruning, λ posterior reweighting, a fixed λ
+// (P == 1), no free topics, shard-private slabs, an external-counts overlay
+// and AppendDocs — and requires fill and Phi to reproduce the uncached
+// evaluation to the bit in each.
+func TestFillOracle(t *testing.T) {
+	data := sweepFixture(t)
+	r := rng.New(5)
+	for _, c := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"integrated", func(o *Options) {}},
+		{"fixed-lambda", func(o *Options) { o.LambdaMode = LambdaFixed; o.Lambda = 0.8 }},
+		{"no-free-topics", func(o *Options) { o.NumFreeTopics = 0 }},
+		{"sharded-3", func(o *Options) { o.SweepMode = SweepShardedDocs; o.Shards = 3; o.Threads = 3 }},
+	} {
+		for seed := int64(0); seed < 3; seed++ {
+			opts := oracleOptions()
+			opts.Seed += seed
+			c.set(&opts)
+			m, _ := appendChain(t, data, opts)
+			checkOracles(t, c.name+" at init", &m.ChainRuntime, m.seq, 0, m.D, r)
+			m.Run(8)
+			if c.name == "integrated" {
+				pruned := false
+				for _, off := range m.disabled {
+					pruned = pruned || off
+				}
+				if !pruned {
+					t.Fatalf("seed %d: fixture pruned nothing; the disabled branch is not exercised", opts.Seed)
+				}
+			}
+			checkOracles(t, c.name+" after sweeps", &m.ChainRuntime, m.seq, 0, m.D, r)
+			for _, sh := range m.shards {
+				// Shard views sample against private slabs left at their own
+				// end-of-sweep state.
+				checkOracles(t, c.name+" shard view", &m.ChainRuntime, sh.view, sh.lo, sh.hi, r)
+			}
+
+			// Overlay: pretend other workers hold a few tokens of every word.
+			global := m.OwnWordTopicCounts()
+			for i := range global {
+				if r.Intn(7) == 0 {
+					global[i] += int32(1 + r.Intn(3))
+				}
+			}
+			if err := m.SetGlobalCounts(global); err != nil {
+				t.Fatal(err)
+			}
+			checkOracles(t, c.name+" under overlay", &m.ChainRuntime, m.seq, 0, m.D, r)
+			m.Run(2)
+			checkOracles(t, c.name+" swept under overlay", &m.ChainRuntime, m.seq, 0, m.D, r)
+
+			if err := m.AppendDocs(streamedDocs(m.V, 3, 17), 2); err != nil {
+				t.Fatal(err)
+			}
+			checkOracles(t, c.name+" after append", &m.ChainRuntime, m.seq, 0, m.D, r)
+			m.Run(2)
+			checkOracles(t, c.name+" swept after append", &m.ChainRuntime, m.seq, 0, m.D, r)
+			m.Close()
+		}
+	}
+}
+
+// TestInitPriorOracle checks the initial-assignment distribution — one
+// shared prior vector patched at the word's supporting topics — against the
+// per-topic evaluation initAssignments used to run for every token.
+func TestInitPriorOracle(t *testing.T) {
+	data := sweepFixture(t)
+	for _, set := range []func(*Options){
+		func(o *Options) {},
+		func(o *Options) { o.LambdaMode = LambdaFixed; o.Lambda = 0.8 },
+		func(o *Options) { o.NumFreeTopics = 0 },
+	} {
+		opts := oracleOptions()
+		set(&opts)
+		m, err := NewModel(data.Corpus, data.Source, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prior, supProb := m.initPrior(), m.initSupportProbs()
+		got, want := make([]float64, m.T), make([]float64, m.T)
+		for w := 0; w < m.V; w++ {
+			for k := 0; k < m.K; k++ {
+				want[k] = opts.Beta / (float64(m.V) * opts.Beta)
+			}
+			for s := 0; s < m.S; s++ {
+				want[m.K+s] = m.delta.wordProb(s, m.delta.values(s, w), 0, 0)
+			}
+			m.initWordProbs(prior, supProb, w, got)
+			bitsEqual(t, "initial distribution", got, want)
+		}
+		m.Close()
 	}
 }

@@ -167,13 +167,13 @@ func (h *Hyperparams) Pow(e float64) *PoweredDelta {
 		V:        h.V,
 		Exponent: e,
 		Default:  math.Pow(h.Epsilon, e),
-		present:  make(map[int]float64, len(h.present)),
+		vals:     make([]float64, len(h.order)),
 		order:    h.order,
 	}
 	var sumPresent float64
-	for _, w := range h.order {
+	for i, w := range h.order {
 		v := math.Pow(h.present[w], e)
-		p.present[w] = v
+		p.vals[i] = v
 		sumPresent += v
 	}
 	p.Total = sumPresent + p.Default*float64(h.V-len(h.present))
@@ -181,8 +181,10 @@ func (h *Hyperparams) Pow(e float64) *PoweredDelta {
 }
 
 // PoweredDelta is a precomputed δ^e vector with its total, consumed by the
-// Gibbs inner loop. Lookups are O(1): one map probe with a shared default
-// for the (vast) unsupported portion of the vocabulary.
+// model build and the collapsed likelihood. The supported words' values sit
+// in a slice parallel to the (ascending) word-id list the Hyperparams owns,
+// so one Pow call allocates that slice and nothing else; every other word
+// shares Default.
 type PoweredDelta struct {
 	// V is the vocabulary size.
 	V int
@@ -191,27 +193,27 @@ type PoweredDelta struct {
 	// Default is ε^e, the value of every absent word.
 	Default float64
 	// Total is Σ_w (δ_w)^e over the whole vocabulary.
-	Total   float64
-	present map[int]float64
-	order   []int
+	Total float64
+	vals  []float64 // vals[i] = (δ_{order[i]})^e
+	order []int
 }
 
-// Value returns (δ_w)^e.
+// Value returns (δ_w)^e, binary-searching the supported-word list.
 func (p *PoweredDelta) Value(w int) float64 {
-	if x, ok := p.present[w]; ok {
-		return x
+	if i := sort.SearchInts(p.order, w); i < len(p.order) && p.order[i] == w {
+		return p.vals[i]
 	}
 	return p.Default
 }
 
 // NumPresent returns the number of words with article support.
-func (p *PoweredDelta) NumPresent() int { return len(p.present) }
+func (p *PoweredDelta) NumPresent() int { return len(p.order) }
 
 // ForEachPresent calls fn for every word with article support with its
 // powered value, in ascending word-id order.
 func (p *PoweredDelta) ForEachPresent(fn func(w int, v float64)) {
-	for _, w := range p.order {
-		fn(w, p.present[w])
+	for i, w := range p.order {
+		fn(w, p.vals[i])
 	}
 }
 
@@ -223,13 +225,19 @@ func (p *PoweredDelta) PresentWords() []int { return p.order }
 // generative model and for tests).
 func (p *PoweredDelta) Dense() []float64 {
 	out := make([]float64, p.V)
+	p.FillDense(out)
+	return out
+}
+
+// FillDense writes the powered vector into out, which must have length V —
+// Dense without the allocation, for callers that evaluate many exponents.
+func (p *PoweredDelta) FillDense(out []float64) {
 	for w := range out {
 		out[w] = p.Default
 	}
-	for w, x := range p.present {
-		out[w] = x
+	for i, w := range p.order {
+		out[w] = p.vals[i]
 	}
-	return out
 }
 
 // Source is an ordered collection of knowledge-source articles — the paper's

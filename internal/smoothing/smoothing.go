@@ -79,13 +79,21 @@ func Estimate(h *knowledge.Hyperparams, src []float64, cfg Config) *G {
 	n := cfg.GridPoints
 	grid := make([]float64, n)
 	js := make([]float64, n)
-	r := rng.New(cfg.Seed)
+	var r *rng.RNG
+	if !cfg.MeanField {
+		r = rng.New(cfg.Seed) // seeding costs more than a mean-field grid point
+	}
+	// Two V-length buffers serve every grid point: alpha holds δ^x, draw its
+	// normalization (mean-field) or the Dirichlet samples (Monte-Carlo).
+	alpha := make([]float64, h.V)
 	draw := make([]float64, h.V)
 	for i := 0; i < n; i++ {
 		grid[i] = float64(i) / float64(n-1)
-		alpha := h.Pow(grid[i]).Dense()
+		h.Pow(grid[i]).FillDense(alpha)
 		if cfg.MeanField {
-			js[i] = stats.JSDivergence(mathx.Normalized(alpha), src)
+			copy(draw, alpha)
+			mathx.Normalize(draw)
+			js[i] = stats.JSDivergence(draw, src)
 			continue
 		}
 		var total float64

@@ -225,28 +225,30 @@ func (t *TFIDF) WeightedQueryVector(words []int, weights []float64) []float64 {
 }
 
 // TopWords returns the n highest-probability word ids of the distribution
-// probs, in descending probability order with ties broken by lower id.
+// probs, in descending probability order with ties broken by lower id. n is
+// a display count, far below len(probs): one pass keeps the best n seen so
+// far in order (O(V) comparisons plus an O(n) shift per word that enters)
+// instead of sorting the whole vocabulary per topic.
 func TopWords(probs []float64, n int) []int {
-	type wp struct {
-		w int
-		p float64
+	if n > len(probs) {
+		n = len(probs)
 	}
-	all := make([]wp, len(probs))
+	top := make([]int, 0, n)
+	if n == 0 {
+		return top
+	}
 	for w, p := range probs {
-		all[w] = wp{w, p}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].p != all[j].p {
-			return all[i].p > all[j].p
+		// Ids arrive ascending, so a word displaces only strictly smaller
+		// probabilities and a tie keeps the lower id.
+		if len(top) == n && !(p > probs[top[n-1]]) {
+			continue
 		}
-		return all[i].w < all[j].w
-	})
-	if n > len(all) {
-		n = len(all)
+		i := sort.Search(len(top), func(i int) bool { return probs[top[i]] < p })
+		if len(top) < n {
+			top = append(top, 0)
+		}
+		copy(top[i+1:], top[i:])
+		top[i] = w
 	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].w
-	}
-	return out
+	return top
 }

@@ -3,6 +3,7 @@ package textproc
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -183,5 +184,30 @@ func TestTopWords(t *testing.T) {
 	}
 	if n := len(TopWords(probs, 10)); n != 4 {
 		t.Fatalf("over-length request returned %d", n)
+	}
+}
+
+// TestTopWordsMatchesFullSort checks the one-pass selection against the
+// argsort it replaced, over vectors dense with ties.
+func TestTopWordsMatchesFullSort(t *testing.T) {
+	f := func(raw []uint8, n uint8) bool {
+		probs := make([]float64, len(raw))
+		ids := make([]int, len(raw))
+		for w, x := range raw {
+			probs[w] = float64(x % 7)
+			ids[w] = w
+		}
+		sort.Slice(ids, func(i, j int) bool {
+			if probs[ids[i]] != probs[ids[j]] {
+				return probs[ids[i]] > probs[ids[j]]
+			}
+			return ids[i] < ids[j]
+		})
+		want := ids[:min(int(n), len(ids))]
+		got := TopWords(probs, int(n))
+		return len(got) == len(want) && (len(want) == 0 || reflect.DeepEqual(got, want))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -148,7 +148,8 @@ const (
 	// SamplerSparse selects the SparseLDA-style bucket-decomposed kernel:
 	// per-token cost proportional to the token's topic sparsity instead of
 	// the total topic count. The biggest win on corpora with many topics
-	// (T ≳ 100) once the chain has concentrated; see docs/OPERATIONS.md.
+	// (a few hundred and up) once the chain has concentrated; the measured
+	// crossover against the dense scan is in docs/OPERATIONS.md.
 	SamplerSparse
 	// SamplerSimpleParallel is the paper's Algorithm 3 (chunked scan over
 	// one token's topic vector, parallelized across Threads workers).
