@@ -14,7 +14,6 @@ import (
 	"sourcelda/internal/knowledge"
 	"sourcelda/internal/lda"
 	"sourcelda/internal/parallel"
-	"sourcelda/internal/rng"
 	"sourcelda/internal/smoothing"
 	"sourcelda/internal/synth"
 )
@@ -200,44 +199,9 @@ func BenchmarkADLDAWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkSamplerKernels compares the three §III-C4 sampling kernels on a
-// fixed probability vector size (the per-token cost of Algorithms 1–3).
-func BenchmarkSamplerKernels(b *testing.B) {
-	for _, T := range []int{64, 512, 4096} {
-		probs := make([]float64, T)
-		r := rng.New(5)
-		for i := range probs {
-			probs[i] = r.Float64()
-		}
-		compute := func(lo, hi int, out []float64) { copy(out, probs[lo:hi]) }
-		for _, workers := range []int{1, 3, 6} {
-			pool := parallel.NewPool(workers)
-			samplers := []parallel.TopicSampler{
-				parallel.NewSerial(),
-				parallel.NewSimpleParallel(pool),
-				parallel.NewPrefixSums(pool),
-			}
-			for _, s := range samplers {
-				name := fmt.Sprintf("T=%d/workers=%d/%s", T, workers, s.Name())
-				b.Run(name, func(b *testing.B) {
-					u := 0.0
-					for i := 0; i < b.N; i++ {
-						u += 1.0 / float64(b.N)
-						if u >= 1 {
-							u = 0
-						}
-						s.Sample(T, compute, u)
-					}
-				})
-			}
-			pool.Close()
-		}
-	}
-}
-
 // BenchmarkSweepModes compares Gibbs sweep throughput (tokens/sec) across
-// the corpus-traversal modes: the exact sequential sweep with each §III-C4
-// kernel plus the sparse bucket-decomposed kernel, and the document-sharded
+// the corpus-traversal modes: the exact sequential sweep with the serial
+// scan and with the sparse bucket-decomposed kernel, and the document-sharded
 // data-parallel sweep at increasing shard counts. Sharded sweeps with S
 // shards use S worker threads, so the series shows both the flat-state
 // single-core gain and the multi-core scaling.
@@ -245,8 +209,8 @@ func BenchmarkSamplerKernels(b *testing.B) {
 // The "skewed-T204" group is the sparse kernel's home turf — and its
 // acceptance gate (≥1.5× over serial): 204 topics of which only a dozen
 // generate the corpus, so after a few sweeps each token's mass concentrates
-// on a handful of document- and word-active topics while the dense kernels
-// keep paying K + S·P per token.
+// on a handful of document- and word-active topics while the dense kernel
+// keeps paying K + S·P per token.
 //
 // The "skewed-T1024" group is the regime srcldabench's train_skewed_t1024
 // measures (see benchSkewedT1024): the dense kernel's cost there is the
@@ -283,14 +247,6 @@ func BenchmarkSweepModes(b *testing.B) {
 	modes := []mode{
 		{"sequential/serial", small, func(o *core.Options) {}},
 		{"sequential/sparse", small, func(o *core.Options) { o.Sampler = core.SamplerSparse }},
-		{"sequential/prefix-sums", small, func(o *core.Options) {
-			o.Sampler = core.SamplerPrefixSums
-			o.Threads = 4
-		}},
-		{"sequential/simple-parallel", small, func(o *core.Options) {
-			o.Sampler = core.SamplerSimpleParallel
-			o.Threads = 4
-		}},
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
 		shards := shards

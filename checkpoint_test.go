@@ -27,15 +27,19 @@ func facadeResultsEqual(t *testing.T, name string, got, want *Result) {
 // TestFitCheckpointResumeEquality is the facade-level acceptance contract:
 // a run that checkpoints, stops early via the progress hook, and resumes
 // from disk must produce the same model as an uninterrupted Fit — in the
-// sequential mode and in the document-sharded mode.
+// sequential mode and in the document-sharded mode, and whatever Threads the
+// resuming process runs with: it is a resource bound, not part of the chain.
 func TestFitCheckpointResumeEquality(t *testing.T) {
 	c, k := buildFixture(t)
 	variants := []struct {
-		name string
-		set  func(*Options)
+		name          string
+		set           func(*Options)
+		resumeThreads int
 	}{
-		{"sequential", func(o *Options) {}},
-		{"sharded", func(o *Options) { o.Shards = 3 }},
+		{"sequential", func(o *Options) {}, 0},
+		{"sharded", func(o *Options) { o.Shards = 3 }, 0},
+		{"sequential-threads-1-to-4", func(o *Options) { o.Threads = 1 }, 4},
+		{"sharded-threads-1-to-4", func(o *Options) { o.Shards = 3; o.Threads = 1 }, 4},
 	}
 	for _, v := range variants {
 		base := Options{
@@ -65,6 +69,9 @@ func TestFitCheckpointResumeEquality(t *testing.T) {
 		}
 		// The newest surviving checkpoint is sweep 20; resume re-runs 21..40.
 		resumeOpts := base
+		if v.resumeThreads > 0 {
+			resumeOpts.Threads = v.resumeThreads
+		}
 		resumed, err := Resume(dir, c, k, resumeOpts)
 		if err != nil {
 			t.Fatalf("%s: resume: %v", v.name, err)

@@ -90,8 +90,8 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		mu:            fs.Float64("mu", 0.7, "mean of the N(µ,σ) prior over the λ divergence exponent (default 0.7)"),
 		sigma:         fs.Float64("sigma", 0.3, "std dev of the λ prior, must be >= 0 (default 0.3)"),
 		lambda:        fs.Float64("lambda", -1, "fixed λ exponent in [0,1]; -1 integrates λ out by quadrature (default -1)"),
-		threads:       fs.Int("threads", 1, "worker threads; > 1 enables Algorithm 3 parallel sampling, and bounds shard workers in sharded mode (default 1)"),
-		sampler:       fs.String("sampler", "auto", "per-token sampling kernel: auto, serial, sparse, prefix-sums, or simple-parallel; auto picks serial, or simple-parallel when -threads > 1 (default auto)"),
+		threads:       fs.Int("threads", 1, "worker threads sweeping document shards in sharded mode; a resource bound that never changes the chain, ignored by a sequential sweep (default 1)"),
+		sampler:       fs.String("sampler", "auto", "per-token sampling kernel: auto, serial, or sparse; auto is the dense serial scan (default auto)"),
 		sweep:         fs.String("sweepmode", "sequential", "sweep traversal: sequential (exact collapsed Gibbs) or sharded (document-sharded data-parallel) (default sequential)"),
 		shards:        fs.Int("shards", 0, "document shards for sharded sweeps; > 0 implies -sweepmode=sharded, 0 means one per thread (default 0)"),
 		topN:          fs.Int("top", 10, "words printed per topic (default 10)"),
@@ -167,15 +167,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown sweep mode %q (want sequential or sharded)\n", *sweep)
 		os.Exit(2)
 	}
-	samplerKinds := map[string]core.SamplerKind{
-		"serial":          core.SamplerSerial,
-		"sparse":          core.SamplerSparse,
-		"prefix-sums":     core.SamplerPrefixSums,
-		"simple-parallel": core.SamplerSimpleParallel,
-	}
-	if _, ok := samplerKinds[*sampler]; !ok && *sampler != "auto" {
-		fmt.Fprintf(os.Stderr, "unknown sampler %q (want auto, serial, sparse, prefix-sums, or simple-parallel)\n", *sampler)
-		os.Exit(2)
+	kernel := core.SamplerSerial
+	if *sampler != "auto" {
+		if kernel, err = core.ParseSampler(*sampler); err != nil {
+			fmt.Fprintf(os.Stderr, "-sampler (auto, serial, or sparse): %v\n", err)
+			os.Exit(2)
+		}
 	}
 	sweepSet, threadsSet := false, false
 	flag.Visit(func(f *flag.Flag) {
@@ -198,6 +195,9 @@ func main() {
 	}
 	if (*sweep == "sharded" || *shards > 0) && *model != "srclda" {
 		fmt.Fprintf(os.Stderr, "note: -sweepmode/-shards only apply to -model srclda; ignored for %q\n", *model)
+	}
+	if *threads > 1 && *sweep != "sharded" {
+		fmt.Fprintln(os.Stderr, "note: -threads only bounds sharded sweeps; ignored for a sequential sweep — use -shards N")
 	}
 	if (*ckptDir != "" || *resume != "") && *model != "srclda" {
 		fmt.Fprintf(os.Stderr, "-checkpoint-dir and -resume only apply to -model srclda (got %q)\n", *model)
@@ -232,6 +232,7 @@ func main() {
 			UseSmoothing:     true,
 			Iterations:       *iters,
 			Seed:             *seed,
+			Sampler:          kernel,
 			Threads:          *threads,
 		}
 		if *lambda >= 0 {
@@ -240,25 +241,15 @@ func main() {
 		} else {
 			opts.LambdaMode = core.LambdaIntegrated
 		}
-		if *threads > 1 {
-			opts.Sampler = core.SamplerSimpleParallel
-		}
 		if *sweep == "sharded" {
 			opts.SweepMode = core.SweepShardedDocs
 			opts.Shards = *shards
-			opts.Sampler = core.SamplerSerial
 			// Default the pool to one worker per shard (capped at docs and
 			// CPUs) so -shards alone actually sweeps in parallel; an
 			// explicit -threads stays a hard resource bound.
 			if !threadsSet {
 				opts.Threads = core.DefaultShardWorkers(*shards, c.NumDocs())
 			}
-		}
-		// An explicit -sampler overrides the -threads/-sweepmode-derived
-		// default. "auto" keeps it, so existing flag combinations keep the
-		// exact chains (and checkpoint digests) they produced before.
-		if kind, ok := samplerKinds[*sampler]; ok {
-			opts.Sampler = kind
 		}
 		// Telemetry: one JSONL event per sweep and/or live Prometheus gauges.
 		// It implies likelihood tracing; Options.ChainDigest excludes the
@@ -312,7 +303,6 @@ func main() {
 		}
 		var hook core.SweepHook
 		if cw != nil || recorder != nil {
-			kernel := opts.Sampler.String()
 			totalTokens := c.TotalTokens()
 			hook = func(sweepIdx int, cm *core.Model) error {
 				var ckSecs *float64
@@ -336,7 +326,7 @@ func main() {
 					Time:              time.Now(),
 					Sweep:             sweepIdx,
 					TotalSweeps:       *iters,
-					Kernel:            kernel,
+					Kernel:            kernel.String(),
 					CheckpointSeconds: ckSecs,
 					CheckpointPath:    ckPath,
 				}

@@ -1,63 +1,20 @@
 package main
 
 import (
+	"errors"
 	"flag"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
+
+	"sourcelda/cmd/internal/flagdocs"
+	"sourcelda/internal/core"
 )
 
-// documentedFlags extracts the flag names from a "### `<cmd>` flags" table
-// in a markdown file: rows of the form "| `-name` | ... |".
-func documentedFlags(t *testing.T, path, section string) map[string]bool {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("cannot read %s: %v", path, err)
-	}
-	out := map[string]bool{}
-	inSection := false
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, "#") {
-			inSection = strings.TrimSpace(line) == section
-			continue
-		}
-		if !inSection || !strings.HasPrefix(line, "| `-") {
-			continue
-		}
-		rest := strings.TrimPrefix(line, "| `-")
-		name, _, ok := strings.Cut(rest, "`")
-		if !ok {
-			t.Fatalf("unparseable flag-table row %q", line)
-		}
-		out[name] = true
-	}
-	if len(out) == 0 {
-		t.Fatalf("no flag table found under %q in %s", section, path)
-	}
-	return out
-}
-
 // TestFlagsDocumented diffs srcldactl's actual flag set against the table in
-// docs/OPERATIONS.md, in both directions, so the docs cannot silently rot
-// when a flag is added, renamed, or removed. CI runs this as its docs gate.
+// docs/OPERATIONS.md.
 func TestFlagsDocumented(t *testing.T) {
 	fs := flag.NewFlagSet("srcldactl", flag.ContinueOnError)
 	defineFlags(fs)
-	documented := documentedFlags(t, filepath.Join("..", "..", "docs", "OPERATIONS.md"), "### `srcldactl` flags")
-	defined := map[string]bool{}
-	fs.VisitAll(func(fl *flag.Flag) { defined[fl.Name] = true })
-	for name := range defined {
-		if !documented[name] {
-			t.Errorf("flag -%s exists but is missing from the srcldactl table in docs/OPERATIONS.md", name)
-		}
-	}
-	for name := range documented {
-		if !defined[name] {
-			t.Errorf("docs/OPERATIONS.md documents -%s, which srcldactl does not define", name)
-		}
-	}
+	flagdocs.Check(t, fs, "### `srcldactl` flags")
 }
 
 // TestSpecFromFlags pins the flag → ChainSpec mapping, in particular the
@@ -94,5 +51,19 @@ func TestSpecFromFlags(t *testing.T) {
 	}
 	if spec2.Alpha != 50.0/float64(5+src.Len()) || spec2.Beta != 200.0/float64(c.VocabSize()) {
 		t.Fatalf("Alpha/Beta (%g, %g) do not match srclda's data-derived formulas", spec2.Alpha, spec2.Beta)
+	}
+
+	// The spec is validated before any worker joins: a retired kernel name
+	// stops the coordinator by name, a typo as unknown.
+	for name, retired := range map[string]bool{"simple-parallel": true, "prefix-sums": true, "auto": false} {
+		fs3 := flag.NewFlagSet("srcldactl", flag.ContinueOnError)
+		f3 := defineFlags(fs3)
+		if err := fs3.Parse([]string{"-sampler", name}); err != nil {
+			t.Fatal(err)
+		}
+		spec3 := specFromFlags(f3, c, src)
+		if _, err := spec3.Options(spec3.Seed); err == nil || errors.Is(err, core.ErrRetiredSampler) != retired {
+			t.Fatalf("-sampler %s: spec validation error %v", name, err)
+		}
 	}
 }

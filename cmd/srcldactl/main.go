@@ -104,10 +104,10 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		mu:           fs.Float64("mu", 0.7, "coordinator: mean of the N(µ,σ) prior over the λ divergence exponent (default 0.7)"),
 		sigma:        fs.Float64("sigma", 0.3, "coordinator: std dev of the λ prior, must be >= 0 (default 0.3)"),
 		lambda:       fs.Float64("lambda", -1, "coordinator: fixed λ exponent in [0,1]; -1 integrates λ out by quadrature (default -1)"),
-		sampler:      fs.String("sampler", "serial", "coordinator: per-token sampling kernel every worker uses: serial, sparse, prefix-sums, or simple-parallel (default serial)"),
+		sampler:      fs.String("sampler", "serial", "coordinator: per-token sampling kernel every worker uses: serial or sparse (default serial)"),
 		sweep:        fs.String("sweepmode", "sequential", "coordinator: in-worker sweep traversal: sequential or sharded-docs (default sequential)"),
 		shards:       fs.Int("shards", 0, "coordinator: in-worker document shards for sharded-docs sweeps (0 means one per thread) (default 0)"),
-		threads:      fs.Int("threads", 1, "coordinator: in-worker sampling threads (default 1)"),
+		threads:      fs.Int("threads", 1, "coordinator: in-worker threads sweeping document shards under -sweepmode sharded-docs; a resource bound that never changes the chain (default 1)"),
 		ioTimeout:    fs.Duration("io-timeout", 30*time.Second, "coordinator: bound on each control-frame read/write — handshakes and count broadcasts (default 30s)"),
 		epochTimeout: fs.Duration("epoch-timeout", 5*time.Minute, "coordinator: how long to wait for one shard's epoch delta before declaring the worker hung and reassigning its shard (default 5m)"),
 		joinTimeout:  fs.Duration("join-timeout", 5*time.Minute, "coordinator: how long to wait for a worker to connect when a shard needs one (default 5m)"),

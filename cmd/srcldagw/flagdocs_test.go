@@ -2,64 +2,18 @@ package main
 
 import (
 	"flag"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
+	"sourcelda/cmd/internal/flagdocs"
 	"sourcelda/internal/gateway"
 )
 
-// documentedFlags extracts the flag names from a "### `<cmd>` flags" table
-// in a markdown file: rows of the form "| `-name` | ... |".
-func documentedFlags(t *testing.T, path, section string) map[string]bool {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("cannot read %s: %v", path, err)
-	}
-	out := map[string]bool{}
-	inSection := false
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, "#") {
-			inSection = strings.TrimSpace(line) == section
-			continue
-		}
-		if !inSection || !strings.HasPrefix(line, "| `-") {
-			continue
-		}
-		rest := strings.TrimPrefix(line, "| `-")
-		name, _, ok := strings.Cut(rest, "`")
-		if !ok {
-			t.Fatalf("unparseable flag-table row %q", line)
-		}
-		out[name] = true
-	}
-	if len(out) == 0 {
-		t.Fatalf("no flag table found under %q in %s", section, path)
-	}
-	return out
-}
-
 // TestFlagsDocumented diffs srcldagw's actual flag set against the table in
-// docs/OPERATIONS.md, in both directions, so the docs cannot silently rot
-// when a flag is added, renamed, or removed. CI runs this as its docs gate.
+// docs/OPERATIONS.md.
 func TestFlagsDocumented(t *testing.T) {
 	fs := flag.NewFlagSet("srcldagw", flag.ContinueOnError)
 	defineFlags(fs)
-	documented := documentedFlags(t, filepath.Join("..", "..", "docs", "OPERATIONS.md"), "### `srcldagw` flags")
-	defined := map[string]bool{}
-	fs.VisitAll(func(fl *flag.Flag) { defined[fl.Name] = true })
-	for name := range defined {
-		if !documented[name] {
-			t.Errorf("flag -%s exists but is missing from the srcldagw table in docs/OPERATIONS.md", name)
-		}
-	}
-	for name := range documented {
-		if !defined[name] {
-			t.Errorf("docs/OPERATIONS.md documents -%s, which srcldagw does not define", name)
-		}
-	}
+	flagdocs.Check(t, fs, "### `srcldagw` flags")
 }
 
 func TestParseBackends(t *testing.T) {

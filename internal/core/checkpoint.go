@@ -161,6 +161,15 @@ func (m *ChainRuntime) validateCheckpoint(ck *Checkpoint) error {
 		return fmt.Errorf("core: checkpoint was captured with seed %d; Options.Seed is %d", ck.Seed, m.opts.Seed)
 	}
 	if d := m.opts.chainDigest(); ck.OptionsDigest != d {
+		// The digest hashes the kernel; a run the previous build sampled
+		// under a retired one is named instead of reported as a bare mismatch.
+		for kind, name := range retiredSamplers {
+			o := m.opts
+			o.Sampler = kind
+			if o.chainDigest() == ck.OptionsDigest {
+				return fmt.Errorf("core: checkpoint was written under sampler %q: %w", name, ErrRetiredSampler)
+			}
+		}
 		return fmt.Errorf("core: checkpoint chain-options digest %#x does not match the supplied Options (%#x); resume with the options the run was started with", ck.OptionsDigest, d)
 	}
 	if ck.NumFreeTopics != m.K || ck.NumSourceTopics != m.S {

@@ -188,44 +188,6 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestParallelSamplersMatchSerial(t *testing.T) {
-	// The §III-C4 exactness guarantee carried through the full model: with
-	// identical seeds, Algorithm 2 and Algorithm 3 kernels must reproduce
-	// the serial chain token for token.
-	cs := caseStudyFixture()
-	base := Options{
-		NumFreeTopics: 1, LambdaMode: LambdaIntegrated, Mu: 0.7, Sigma: 0.3,
-		QuadraturePoints: 5, Iterations: 20, Seed: 1234,
-	}
-	serialOpts := base
-	serialOpts.Sampler = SamplerSerial
-	ref, err := Fit(cs.Corpus, cs.Source, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	for _, kind := range []SamplerKind{SamplerSimpleParallel, SamplerPrefixSums} {
-		for _, threads := range []int{1, 2, 4} {
-			o := base
-			o.Sampler = kind
-			o.Threads = threads
-			m, err := Fit(cs.Corpus, cs.Source, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for d := range ref.Assignments() {
-				for i := range ref.Assignments()[d] {
-					if m.Assignments()[d][i] != ref.Assignments()[d][i] {
-						t.Fatalf("%v threads=%d diverged from serial at doc %d token %d",
-							kind, threads, d, i)
-					}
-				}
-			}
-			m.Close()
-		}
-	}
-}
-
 func TestMixtureRecoversUnknownTopic(t *testing.T) {
 	// Build a corpus mixing a source topic with an unknown topic the
 	// knowledge source does not cover; the free topic should absorb the
@@ -516,9 +478,7 @@ func TestModeStringer(t *testing.T) {
 	if LambdaFixed.String() != "fixed" || LambdaIntegrated.String() != "integrated" {
 		t.Fatal("LambdaMode strings wrong")
 	}
-	if SamplerSerial.String() != "serial" ||
-		SamplerSimpleParallel.String() != "simple-parallel" ||
-		SamplerPrefixSums.String() != "prefix-sums" {
+	if SamplerSerial.String() != "serial" || SamplerSparse.String() != "sparse" {
 		t.Fatal("SamplerKind strings wrong")
 	}
 	if LambdaMode(9).String() == "" || SamplerKind(9).String() == "" {

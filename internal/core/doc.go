@@ -27,16 +27,18 @@
 // evaluated by gibbsView (sweep.go) with cached reciprocal denominators, so
 // the hot loop does direct slice indexing — no maps, closures, or division.
 //
-// Sampling can run with the serial collapsed Gibbs kernel (Algorithm 1),
-// either of the paper's two exactness-preserving parallel kernels
-// (Algorithms 2 and 3, §III-C4) from internal/parallel, or the SparseLDA-
-// style bucket-decomposed kernel (SamplerSparse, sparse.go), whose per-token
-// cost is proportional to the token's topic sparsity instead of the topic
-// count — all within the exact sequential sweep mode — or with the
-// document-sharded data-parallel sweep mode (SweepShardedDocs, AD-LDA
-// style), which trades within-sweep count freshness for corpus-scale
-// throughput across cores. The sparse kernel composes with both sweep
-// modes.
+// There are two per-token kernels and each view owns its draw: the serial
+// collapsed Gibbs scan (Algorithm 1; SamplerSerial) and the SparseLDA-style
+// bucket-decomposed kernel (SamplerSparse, sparse.go), whose per-token cost
+// is proportional to the token's topic sparsity instead of the topic count.
+// Either runs in the exact sequential sweep mode or in the document-sharded
+// data-parallel sweep mode (SweepShardedDocs, AD-LDA style), which trades
+// within-sweep count freshness for corpus-scale throughput across cores and
+// is the only place a sweep runs goroutines (Options.Threads bounds
+// them). The paper's within-token parallel kernels (Algorithms 2 and 3,
+// §III-C4) lose to the serial scan at every measured topic count and live
+// with the Fig. 8(f) reproduction in internal/experiments; their SamplerKind
+// values are reserved and refused by name (ErrRetiredSampler).
 //
 // # Determinism contract
 //

@@ -27,7 +27,7 @@ func (m *Model) Runtime() *ChainRuntime { return &m.ChainRuntime }
 
 // Fit runs Source-LDA collapsed Gibbs sampling over corpus c with knowledge
 // source src and returns the fitted model. The model owns a worker pool when
-// a parallel sampler or sweep mode is selected; Close releases it.
+// the sharded sweep mode is selected; Close releases it.
 func Fit(c *corpus.Corpus, src *knowledge.Source, opts Options) (*Model, error) {
 	m, err := NewModel(c, src, opts)
 	if err != nil {
@@ -80,25 +80,14 @@ func newUninitializedModel(c *corpus.Corpus, src *knowledge.Source, opts Options
 	return m, nil
 }
 
-// buildViews constructs the worker pool, sampling kernel, deterministic RNG
-// streams, and the sequential/sharded sampling views. It must run after the
-// count slabs hold the chain's current assignments — the views cache
-// reciprocal denominators derived from them.
+// buildViews constructs the deterministic RNG streams, the sequential
+// sampling view and — for the sharded sweep mode, the only one that runs
+// anything concurrently — the shard views and the worker pool Threads
+// bounds. It must run after the count slabs hold the chain's current
+// assignments — the views cache reciprocal denominators derived from them.
 func (m *ChainRuntime) buildViews() {
 	opts := &m.opts
-	useSparse := opts.Sampler == SamplerSparse
-	m.pool = parallel.NewPool(opts.Threads)
-	m.seq = newGibbsView(m, m.counts.wordTopic, m.counts.topicTotal, useSparse)
-	switch opts.Sampler {
-	case SamplerSimpleParallel:
-		m.sampler = parallel.NewSimpleParallel(m.pool)
-	case SamplerPrefixSums:
-		m.sampler = parallel.NewPrefixSums(m.pool)
-	case SamplerSparse:
-		m.sampler = parallel.NewSparseDirect(m.seq.sparse.draw)
-	default:
-		m.sampler = parallel.NewSerial()
-	}
+	m.seq = newGibbsView(m, m.counts.wordTopic, m.counts.topicTotal)
 
 	nStreams := opts.numStreams(m.D)
 	m.streams = make([]*rng.RNG, nStreams)
@@ -106,6 +95,7 @@ func (m *ChainRuntime) buildViews() {
 		m.streams[i] = rng.NewStream(opts.Seed, int64(i))
 	}
 	if opts.SweepMode == SweepShardedDocs {
+		m.pool = parallel.NewPool(opts.Threads)
 		m.buildShards(nStreams)
 	}
 }
@@ -115,38 +105,25 @@ func (m *ChainRuntime) buildViews() {
 // after AppendDocs grows the corpus (rebalanceShards), so shard document
 // ranges always partition the live corpus.
 func (m *ChainRuntime) buildShards(nStreams int) {
-	useSparse := m.opts.Sampler == SamplerSparse
 	m.shards = make([]*shardView, nStreams)
 	for i := range m.shards {
 		// Balanced split: every shard owns at least one document (the
 		// shard count is capped at D in numStreams), so no shard pays
 		// the per-sweep slab copy without sampling anything.
 		lo, hi := i*m.D/nStreams, (i+1)*m.D/nStreams
-		view := m.seq
-		if nStreams > 1 {
-			view = newGibbsView(m, make([]int32, m.V*m.T), make([]int32, m.T), useSparse)
-		}
-		// Shards scan serially within themselves; the sparse kernel is
-		// the one per-token alternative, bound to the shard's own view.
-		var sampler parallel.TopicSampler = parallel.NewSerial()
-		if useSparse {
-			sampler = parallel.NewSparseDirect(view.sparse.draw)
-		}
 		// A single shard aliases the sequential view over the global
 		// slabs, so the "exact" sharded configuration runs at
 		// sequential speed with no per-sweep copy or reconciliation.
-		m.shards[i] = &shardView{
-			view:    view,
-			sampler: sampler,
-			r:       m.streams[i],
-			lo:      lo,
-			hi:      hi,
+		view := m.seq
+		if nStreams > 1 {
+			view = newGibbsView(m, make([]int32, m.V*m.T), make([]int32, m.T))
 		}
+		m.shards[i] = &shardView{view: view, r: m.streams[i], lo: lo, hi: hi}
 	}
 }
 
-// Close releases the worker pool of a parallel sampler. It is safe to call
-// on serially-sampled models and more than once.
+// Close releases the sharded sweep mode's worker pool. It is safe to call on
+// sequential chains (which have none) and more than once.
 func (m *ChainRuntime) Close() {
 	if m.pool != nil {
 		m.pool.Close()
@@ -454,7 +431,7 @@ func (m *ChainRuntime) pruneDeadTopics() {
 			if !dead[zd[i]] {
 				continue
 			}
-			v.resample(zd, i, w, m.sampler, u)
+			v.resample(zd, i, w, u)
 		}
 	}
 }

@@ -36,36 +36,47 @@ func (m LambdaMode) String() string {
 	}
 }
 
-// SamplerKind selects the topic-sampling kernel.
+// SamplerKind selects the topic-sampling kernel. The value is hashed into the
+// chain digest, so the constants are pinned: renumbering one would orphan
+// every checkpoint and chain archive written under it.
 type SamplerKind int
 
 const (
-	// SamplerSerial is Algorithm 1's sequential inner loop.
-	SamplerSerial SamplerKind = iota
-	// SamplerSimpleParallel is Algorithm 3 (chunked scan).
-	SamplerSimpleParallel
-	// SamplerPrefixSums is Algorithm 2 (Blelloch scan).
-	SamplerPrefixSums
+	// SamplerSerial is Algorithm 1's sequential inner loop: evaluate the
+	// conditional for every topic, scan, binary-search.
+	SamplerSerial SamplerKind = 0
 	// SamplerSparse is the SparseLDA-style bucket-decomposed kernel (Yao,
 	// Mimno & McCallum, KDD 2009, adapted to Source-LDA's quadrature
 	// topics): the per-token conditional is split into cached
 	// smoothing/default-δ totals plus sparse document and word buckets, so
 	// a draw costs O(token sparsity) instead of O(K + S·P). It samples the
-	// exact same conditional as the dense kernels — only the arithmetic
+	// exact same conditional as the dense kernel — only the arithmetic
 	// path differs, so it draws a different (equally valid) chain for the
-	// same seed. Single-threaded per token; composes with both sweep modes.
-	SamplerSparse
+	// same seed. Composes with both sweep modes.
+	SamplerSparse SamplerKind = 3
 )
+
+// retiredSamplers names the values the paper's within-token parallel kernels
+// (§III-C4 Algorithm 3 and Algorithm 2) held until they moved to the Fig. 8(f)
+// experiment. The values stay reserved so a request for one — or a checkpoint
+// whose digest hashes one — is refused by name instead of sampled serially
+// under a digest no run describes.
+var retiredSamplers = map[SamplerKind]string{1: "simple-parallel", 2: "prefix-sums"}
+
+// ErrRetiredSampler reports a request for a kernel in retiredSamplers. Both
+// lost to the serial scan at every measured topic count, and nothing this
+// build can run reproduces their digests.
+var ErrRetiredSampler = errors.New("kernel retired to the Fig. 8(f) experiment (internal/experiments); checkpoints and chain archives written under it cannot be resumed by this build — use serial or sparse, and document shards for parallelism")
+
+func retiredSamplerError(name string) error {
+	return fmt.Errorf("core: sampler %q: %w", name, ErrRetiredSampler)
+}
 
 // String implements fmt.Stringer.
 func (k SamplerKind) String() string {
 	switch k {
 	case SamplerSerial:
 		return "serial"
-	case SamplerSimpleParallel:
-		return "simple-parallel"
-	case SamplerPrefixSums:
-		return "prefix-sums"
 	case SamplerSparse:
 		return "sparse"
 	default:
@@ -73,14 +84,29 @@ func (k SamplerKind) String() string {
 	}
 }
 
+// ParseSampler maps a kernel name (the SamplerKind.String() values) to its
+// constant. The retired kernels' names fail with ErrRetiredSampler.
+func ParseSampler(name string) (SamplerKind, error) {
+	for _, k := range []SamplerKind{SamplerSerial, SamplerSparse} {
+		if name == k.String() {
+			return k, nil
+		}
+	}
+	for _, retired := range retiredSamplers {
+		if name == retired {
+			return 0, retiredSamplerError(name)
+		}
+	}
+	return 0, fmt.Errorf("core: unknown sampler kernel %q (want serial or sparse)", name)
+}
+
 // SweepMode selects how a Gibbs sweep traverses the corpus.
 type SweepMode int
 
 const (
 	// SweepSequential resamples tokens one at a time against the live
-	// global counts — exact collapsed Gibbs (Algorithm 1). The configured
-	// SamplerKind may parallelize within one token's topic vector
-	// (§III-C4), but tokens are strictly ordered.
+	// global counts — exact collapsed Gibbs (Algorithm 1), on the calling
+	// goroutine.
 	SweepSequential SweepMode = iota
 	// SweepShardedDocs partitions documents into Options.Shards contiguous
 	// shards swept concurrently, each against a private copy of the
@@ -88,9 +114,9 @@ const (
 	// afterwards (AD-LDA style; Newman et al., "Distributed inference for
 	// latent Dirichlet allocation"). With more than one shard the chain is
 	// an approximation — counts are stale across shards within a sweep —
-	// but sweeps scale across cores instead of across topics. With exactly
-	// one shard the chain is identical to SweepSequential with the serial
-	// kernel. Each shard draws from its own deterministic RNG stream, so
+	// but sweeps scale across cores. With exactly one shard the chain is
+	// identical to SweepSequential's. Each shard draws from its own
+	// deterministic RNG stream, so
 	// results depend on the shard count but never on worker scheduling.
 	SweepShardedDocs
 )
@@ -181,13 +207,12 @@ type Options struct {
 	Iterations int
 	// Seed seeds the sampler chain.
 	Seed int64
-	// Sampler selects the per-token sampling kernel. Default SamplerSerial.
-	// SweepShardedDocs honors SamplerSparse per shard; the parallel scan
-	// kernels are ignored for the sweep itself (each shard scans serially)
-	// but still used for token resampling during pruning.
+	// Sampler selects the per-token sampling kernel, in either sweep mode.
+	// Default SamplerSerial.
 	Sampler SamplerKind
-	// Threads is the worker count shared by the parallel kernels (the
-	// paper's P) and the sharded sweep mode. Default 1.
+	// Threads bounds how many document shards SweepShardedDocs sweeps at
+	// once. It is a resource bound only: it never shapes the chain, and a
+	// sequential sweep ignores it. Default 1.
 	Threads int
 	// SweepMode selects how sweeps traverse the corpus. Default
 	// SweepSequential (exact collapsed Gibbs).
@@ -363,6 +388,19 @@ func (o *Options) validate(c *corpus.Corpus, src *knowledge.Source) error {
 	}
 	if o.LambdaMode == LambdaIntegrated && o.Sigma < 0 {
 		return fmt.Errorf("core: Options.Sigma is %v; the λ prior standard deviation must be >= 0", o.Sigma)
+	}
+	switch o.Sampler {
+	case SamplerSerial, SamplerSparse:
+	default:
+		if name, ok := retiredSamplers[o.Sampler]; ok {
+			return retiredSamplerError(name)
+		}
+		return fmt.Errorf("core: Options.Sampler is %d; it must be SamplerSerial (%d) or SamplerSparse (%d)",
+			int(o.Sampler), int(SamplerSerial), int(SamplerSparse))
+	}
+	if o.SweepMode != SweepSequential && o.SweepMode != SweepShardedDocs {
+		return fmt.Errorf("core: Options.SweepMode is %d; it must be SweepSequential (%d) or SweepShardedDocs (%d)",
+			int(o.SweepMode), int(SweepSequential), int(SweepShardedDocs))
 	}
 	return nil
 }

@@ -45,8 +45,9 @@ type ChainRuntime struct {
 	// delta holds the precomputed λ-quadrature state of the source topics.
 	delta *deltaStore
 
+	// pool runs the shards of SweepShardedDocs, Options.Threads at a time;
+	// nil for a sequential chain, which starts no goroutines.
 	pool       *parallel.Pool
-	sampler    parallel.TopicSampler
 	sweepCount int
 	// disabled marks topics eliminated by in-inference superset reduction
 	// (§III-C3); disabled topics sample with probability zero.
@@ -145,20 +146,20 @@ func (m *ChainRuntime) AppendDocs(docs []*corpus.Document, foldInSweeps int) err
 		zd := make([]int, len(doc.Words))
 		m.z = append(m.z, zd)
 		v.setDoc(m.counts.docRow(d))
-		// Initialization: place each token with the full dec→fill→inc
+		// Initialization: place each token with the full dec→draw→inc
 		// protocol minus the dec (there is no previous assignment to remove).
 		// With the document row still empty, fill's conditional reduces to
 		// α·Cond(w) per topic — the frozen estimator's starting distribution.
 		for i, w := range doc.Words {
 			v.setToken(w)
-			zd[i] = m.sampler.Sample(v.T, v.fillFn, r.Float64())
+			zd[i] = v.draw(r.Float64())
 			v.inc(zd[i])
 		}
 		// Fold-in: in-place Gibbs over just this document against the live
 		// global counts, the warm-update analogue of a training sweep.
 		for s := 0; s < foldInSweeps; s++ {
 			for i, w := range doc.Words {
-				v.resample(zd, i, w, m.sampler, r)
+				v.resample(zd, i, w, r)
 			}
 		}
 	}

@@ -68,7 +68,7 @@ func checkViewAgainstDense(t *testing.T, name string, m *Model, v *gibbsView, lo
 		for i, w := range m.c.Docs[d].Words {
 			v.setToken(w)
 			v.dec(zd[i])
-			v.fill(0, m.T, dense)
+			v.fill(dense)
 			v.sparse.fillFromBuckets(sparse)
 			for k := 0; k < m.T; k++ {
 				if diff := math.Abs(dense[k] - sparse[k]); diff > tol*(1+math.Abs(dense[k])) {
@@ -181,7 +181,7 @@ func TestSparseDrawMatchesDenseDistribution(t *testing.T) {
 		v.setToken(w)
 		v.dec(m.z[d][i])
 
-		v.fill(0, m.T, dense)
+		v.fill(dense)
 		var total float64
 		for _, p := range dense {
 			total += p
@@ -360,7 +360,7 @@ func TestSparseCheckpointResume(t *testing.T) {
 }
 
 // TestPrunedTopicNeverRegainsTokens is the regression test for the
-// degenerate-fallback bug: rng.Categorical and the kernels' searchTarget
+// degenerate-fallback bug: rng.Categorical and the dense draw's searchTarget
 // used to fall back to a uniform draw over ALL indices on zero/NaN total
 // mass, which could assign a token to a pruned (probability-zero) topic and
 // silently resurrect it. The fallbacks are now restricted to positive-mass
@@ -368,7 +368,7 @@ func TestSparseCheckpointResume(t *testing.T) {
 // chain — under every sampling kernel.
 func TestPrunedTopicNeverRegainsTokens(t *testing.T) {
 	data := sweepFixture(t)
-	for _, kind := range []SamplerKind{SamplerSerial, SamplerSparse, SamplerPrefixSums, SamplerSimpleParallel} {
+	for _, kind := range []SamplerKind{SamplerSerial, SamplerSparse} {
 		opts := Options{
 			NumFreeTopics: 2, Alpha: 0.2, Beta: 0.01,
 			LambdaMode: LambdaFixed, Lambda: 0.8,

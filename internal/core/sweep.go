@@ -1,16 +1,19 @@
 package core
 
 import (
-	"sourcelda/internal/parallel"
+	"math"
+
+	"sourcelda/internal/mathx"
 	"sourcelda/internal/rng"
 )
 
 // gibbsView is the working state one goroutine sweeps with: the count slabs
 // it samples against (the global slabs for the sequential mode, shard-local
 // copies in sharded mode), cached per-topic denominators, and the current
-// token's row pointers. Its fill method evaluates the collapsed conditional
-// of Eq. 2/3 for a topic range with direct slice indexing — no closure call
-// per topic, no map probe per word, and no division in the token loop.
+// token's row pointers. It owns the token draw: fill evaluates the collapsed
+// conditional of Eq. 2/3 over all T topics with direct slice indexing — no
+// closure call per topic, no map probe per word, and no division in the token
+// loop — and draw scans it (or, under SamplerSparse, walks the buckets).
 //
 // The denominator caches are the key: the conditional divides by
 // (n_t + Vβ) for free topics and (n_t + Σδ^{e_p}) per quadrature node for
@@ -26,8 +29,8 @@ import (
 // topic; fill runs the P-term loop only for supported pairs and non-zero
 // counts. The refresh invariant is wInv's: refreshTopic recomputes both after
 // any change to the topic's total, λ weights or disabled flag, and defMass is
-// accumulated exactly as the loop it stands in for, so every kernel draws
-// the chain it drew without the cache.
+// accumulated exactly as the loop it stands in for, so both kernels draw the
+// chain they drew without the cache.
 type gibbsView struct {
 	m          *ChainRuntime
 	K, T, S, P int
@@ -64,12 +67,13 @@ type gibbsView struct {
 	// O(1)/O(P) per count change.
 	sparse *sparseState
 
-	// fillFn is the method value bound once so sampling allocates no
-	// closure per token.
-	fillFn parallel.FillFunc
+	// cum is the dense draw's scratch: the T conditionals, then their
+	// running sums.
+	cum []float64
 }
 
-func newGibbsView(m *ChainRuntime, wordTopic, topicTotal []int32, useSparse bool) *gibbsView {
+func newGibbsView(m *ChainRuntime, wordTopic, topicTotal []int32) *gibbsView {
+	useSparse := m.opts.Sampler == SamplerSparse
 	v := &gibbsView{
 		m: m, K: m.K, T: m.T, S: m.S, P: m.delta.P,
 		alpha: m.opts.Alpha, beta: m.opts.Beta,
@@ -79,8 +83,8 @@ func newGibbsView(m *ChainRuntime, wordTopic, topicTotal []int32, useSparse bool
 		freeDen:    make([]float64, m.K),
 		wInv:       make([]float64, m.S*m.delta.P),
 		defMass:    make([]float64, m.S),
+		cum:        make([]float64, m.T),
 	}
-	v.fillFn = v.fill
 	if useSparse {
 		v.sparse = newSparseState(v)
 	}
@@ -93,30 +97,24 @@ func newGibbsView(m *ChainRuntime, wordTopic, topicTotal []int32, useSparse bool
 	return v
 }
 
-// fill implements parallel.FillFunc for the current token: out[i] is the
-// unnormalized P(z = lo+i | …) of Eq. 2 (free topics) or Eq. 3 with λ
-// integrated by quadrature (source topics). A source topic outside the
-// word's support row that holds no tokens of the word takes its cached
-// default mass instead of the P-term loop. Disabled topics fall out with
-// probability zero because their cached denominators are zeroed.
-func (v *gibbsView) fill(lo, hi int, out []float64) {
+// fill writes the current token's collapsed conditional into out, which has
+// length T: out[t] is the unnormalized P(z = t | …) of Eq. 2 (free topics) or
+// Eq. 3 with λ integrated by quadrature (source topics). A source topic
+// outside the word's support row that holds no tokens of the word takes its
+// cached default mass instead of the P-term loop. Disabled topics fall out
+// with probability zero because their cached denominators are zeroed.
+func (v *gibbsView) fill(out []float64) {
 	row, doc := v.tokenRow, v.docRow
-	t := lo
-	for ; t < hi && t < v.K; t++ {
-		out[t-lo] = (float64(row[t]) + v.beta) * v.freeDen[t] * (float64(doc[t]) + v.alpha)
+	for t := 0; t < v.K; t++ {
+		out[t] = (float64(row[t]) + v.beta) * v.freeDen[t] * (float64(doc[t]) + v.alpha)
 	}
 	P := v.P
 	ds := v.m.delta
 	// The word's supporting topics (supRow) are ascending, as is the topic
 	// loop: advance a cursor in lockstep instead of searching per topic.
-	// Chunked fills (parallel kernels) start mid-range, so position the
-	// cursor once per call with a binary search.
 	sup := v.supRow
 	idx := 0
-	if s0 := t - v.K; s0 > 0 {
-		idx = searchTopic(sup, s0)
-	}
-	for ; t < hi; t++ {
+	for t := v.K; t < v.T; t++ {
 		s := t - v.K
 		var vals []float64
 		if idx < len(sup) && int(sup[idx]) == s {
@@ -125,7 +123,7 @@ func (v *gibbsView) fill(lo, hi int, out []float64) {
 			idx++
 		} else if row[t] == 0 {
 			// Unsupported word, no tokens: the topic's cached default mass.
-			out[t-lo] = v.defMass[s] * (float64(doc[t]) + v.alpha)
+			out[t] = v.defMass[s] * (float64(doc[t]) + v.alpha)
 			continue
 		} else {
 			vals = ds.defaults[s*P : (s+1)*P]
@@ -136,8 +134,51 @@ func (v *gibbsView) fill(lo, hi int, out []float64) {
 		for p := 0; p < P; p++ {
 			acc += (nw + vals[p]) * wi[p]
 		}
-		out[t-lo] = acc * (float64(doc[t]) + v.alpha)
+		out[t] = acc * (float64(doc[t]) + v.alpha)
 	}
+}
+
+// draw samples the current token's topic with uniform variate u; setToken and
+// setDoc must point the view at the token and dec must already have removed
+// it from the counts. The dense kernel is Algorithm 1's inner loop: fill, a
+// running sum, and a binary search for u·total. The sparse kernel walks its
+// buckets instead and comes here only on degenerate mass, so both kernels
+// degrade identically. Either way a draw consumes exactly the one variate it
+// is handed, which is what lets a checkpoint record the chain's randomness as
+// bare stream positions.
+func (v *gibbsView) draw(u float64) int {
+	if v.sparse != nil {
+		if t, ok := v.sparse.draw(u); ok {
+			return t
+		}
+	}
+	v.fill(v.cum)
+	mathx.PrefixSums(v.cum)
+	return searchTarget(v.cum, u)
+}
+
+// searchTarget maps u in [0, 1) onto the cumulative vector and
+// binary-searches for the selected index. A non-positive or non-finite
+// total falls back to mathx.SelectPositiveSupport over the increments — the
+// same restricted-support contract rng.Categorical applies to raw weights —
+// and panics when no index has positive mass: with valid priors every
+// enabled topic's mass is strictly positive, so an all-zero vector means
+// corrupted sampler state, not a samplable distribution.
+func searchTarget(cum []float64, u float64) int {
+	total := cum[len(cum)-1]
+	if total > 0 && !math.IsNaN(total) && !math.IsInf(total, 0) {
+		return mathx.SearchCumulative(cum, u*total)
+	}
+	idx, ok := mathx.SelectPositiveSupport(len(cum), u, func(i int) float64 {
+		if i == 0 {
+			return cum[0]
+		}
+		return cum[i] - cum[i-1]
+	})
+	if !ok {
+		panic("core: token draw received no positive probability mass")
+	}
+	return idx
 }
 
 // setToken points the view at word w's count row and sparse-value window.
@@ -157,13 +198,13 @@ func (v *gibbsView) setDoc(row []int32) {
 }
 
 // resample redraws token i of zd — a token of word w in the document whose
-// counts docRow currently points at — with the given kernel and RNG stream.
-// This is the one place the dec → fill → inc protocol lives; the sequential
-// sweep, the sharded sweep, and prune resampling all go through it.
-func (v *gibbsView) resample(zd []int, i, w int, sampler parallel.TopicSampler, r *rng.RNG) {
+// counts docRow currently points at — from RNG stream r. This is the one
+// place the dec → draw → inc protocol lives; the sequential sweep, the
+// sharded sweep, prune resampling and AppendDocs fold-in all go through it.
+func (v *gibbsView) resample(zd []int, i, w int, r *rng.RNG) {
 	v.setToken(w)
 	v.dec(zd[i])
-	zd[i] = sampler.Sample(v.T, v.fillFn, r.Float64())
+	zd[i] = v.draw(r.Float64())
 	v.inc(zd[i])
 }
 
@@ -251,35 +292,32 @@ func (v *gibbsView) rebuildDenoms() {
 }
 
 // shardView is one document shard of the sharded sweep mode: a gibbsView
-// over private copies of the word-topic slabs, an in-shard sampler (serial,
-// or sparse when SamplerSparse is selected), and the shard's own
+// over private copies of the word-topic slabs and the shard's own
 // deterministic RNG stream.
 type shardView struct {
-	view    *gibbsView
-	sampler parallel.TopicSampler
-	r       *rng.RNG
-	lo, hi  int // document range [lo, hi)
+	view   *gibbsView
+	r      *rng.RNG
+	lo, hi int // document range [lo, hi)
 }
 
 // sweepRange resamples every token of documents [lo, hi) through view v
-// with the given kernel and RNG stream — the one corpus-traversal loop the
-// sequential sweep and every shard share.
-func (m *ChainRuntime) sweepRange(v *gibbsView, lo, hi int, sampler parallel.TopicSampler, r *rng.RNG) {
+// from RNG stream r — the one corpus-traversal loop the sequential sweep and
+// every shard share.
+func (m *ChainRuntime) sweepRange(v *gibbsView, lo, hi int, r *rng.RNG) {
 	for d := lo; d < hi; d++ {
 		v.setDoc(m.counts.docRow(d))
 		zd := m.z[d]
 		for i, w := range m.c.Docs[d].Words {
-			v.resample(zd, i, w, sampler, r)
+			v.resample(zd, i, w, r)
 		}
 	}
 }
 
 // sweepSequential is Algorithm 1's corpus loop: tokens are resampled one at
 // a time against the live global counts, so the chain is exact collapsed
-// Gibbs. The configured kernel (serial, prefix-sum, or simple-parallel)
-// parallelizes — at most — within one token's topic vector (§III-C4).
+// Gibbs.
 func (m *ChainRuntime) sweepSequential() {
-	m.sweepRange(m.seq, 0, m.D, m.sampler, m.streams[0])
+	m.sweepRange(m.seq, 0, m.D, m.streams[0])
 }
 
 // sweepSharded is the document-sharded data-parallel sweep (AD-LDA style,
@@ -297,9 +335,9 @@ func (m *ChainRuntime) sweepSequential() {
 func (m *ChainRuntime) sweepSharded() {
 	if len(m.shards) == 1 {
 		// A single shard IS the sequential chain: its view aliases the
-		// global slabs (see NewModel), so there is no copy, no barrier
-		// rebuild — just the shard's serial kernel and RNG stream, which
-		// match the sequential mode's defaults.
+		// global slabs (see buildShards), so there is no copy, no barrier
+		// rebuild — just the shard's RNG stream, which is the sequential
+		// mode's.
 		m.runShard(m.shards[0])
 		return
 	}
@@ -334,5 +372,5 @@ func (m *ChainRuntime) runShard(sh *shardView) {
 			v.sparse.rebuildLists()
 		}
 	}
-	m.sweepRange(v, sh.lo, sh.hi, sh.sampler, sh.r)
+	m.sweepRange(v, sh.lo, sh.hi, sh.r)
 }

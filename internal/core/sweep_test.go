@@ -40,10 +40,10 @@ func assignmentsEqual(t *testing.T, name string, got, want [][]int) {
 	}
 }
 
-// TestSweepModeEquivalence pins the exactness contract across every
-// sampling configuration: with a fixed seed, the serial kernel, Algorithm 2
-// (prefix sums), Algorithm 3 (simple parallel), and the sharded sweep mode
-// restricted to one shard must all produce the identical chain.
+// TestSweepModeEquivalence pins the exactness contract across sweep modes and
+// resource settings: with a fixed seed, the sequential sweep at any Threads
+// and the sharded sweep mode restricted to one shard must all produce the
+// identical chain.
 func TestSweepModeEquivalence(t *testing.T) {
 	data := sweepFixture(t)
 	base := Options{
@@ -63,8 +63,7 @@ func TestSweepModeEquivalence(t *testing.T) {
 		name string
 		set  func(*Options)
 	}{
-		{"prefix-sums", func(o *Options) { o.Sampler = SamplerPrefixSums; o.Threads = 3 }},
-		{"simple-parallel", func(o *Options) { o.Sampler = SamplerSimpleParallel; o.Threads = 3 }},
+		{"sequential-threads", func(o *Options) { o.Threads = 3 }},
 		{"sharded-one-shard", func(o *Options) { o.SweepMode = SweepShardedDocs; o.Shards = 1 }},
 		{"sharded-one-shard-threads", func(o *Options) {
 			// Extra worker threads must not change a single-shard chain.
@@ -217,6 +216,22 @@ func TestShardsCappedAtDocuments(t *testing.T) {
 	}
 }
 
+// TestSequentialChainStartsNoPool: Threads bounds shard workers only, so a
+// sequential chain — whatever Threads says — owns no pool and no goroutines.
+func TestSequentialChainStartsNoPool(t *testing.T) {
+	data := sweepFixture(t)
+	m, err := NewModel(data.Corpus, data.Source, Options{
+		LambdaMode: LambdaFixed, Lambda: 1, Seed: 2, Threads: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if m.pool != nil {
+		t.Fatalf("sequential chain built a %d-worker pool", m.pool.Workers())
+	}
+}
+
 func TestSweepModeStringer(t *testing.T) {
 	if SweepSequential.String() != "sequential" || SweepShardedDocs.String() != "sharded-docs" {
 		t.Fatal("SweepMode strings wrong")
@@ -232,9 +247,9 @@ func TestSweepModeStringer(t *testing.T) {
 // weight divided by its denominator on the spot rather than read from wInv.
 // It is the oracle fill must match bit for bit — which also catches a wInv or
 // defMass entry left stale by a missed refreshTopic.
-func fillReference(v *gibbsView, lo, hi int, out []float64) {
+func fillReference(v *gibbsView, out []float64) {
 	m, ds, P := v.m, v.m.delta, v.P
-	for t := lo; t < hi; t++ {
+	for t := range out {
 		docPart := float64(v.docRow[t]) + v.alpha
 		nw := float64(v.tokenRow[t])
 		tot := float64(v.topicTotal[t])
@@ -243,7 +258,7 @@ func fillReference(v *gibbsView, lo, hi int, out []float64) {
 			if !m.disabled[t] {
 				den = 1 / (tot + v.vBeta)
 			}
-			out[t-lo] = (nw + v.beta) * den * docPart
+			out[t] = (nw + v.beta) * den * docPart
 			continue
 		}
 		s := t - v.K
@@ -256,7 +271,7 @@ func fillReference(v *gibbsView, lo, hi int, out []float64) {
 			}
 			acc += (nw + vals[p]) * wi
 		}
-		out[t-lo] = acc * docPart
+		out[t] = acc * docPart
 	}
 }
 
@@ -303,11 +318,10 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// checkOracles compares fill — whole-range and in chunks that start
-// mid-range, as the parallel kernels call it — against fillReference for
-// every token of documents [lo, hi) seen through view v with the token
-// removed (the state the kernels sample in), then Phi against phiReference.
-func checkOracles(t *testing.T, name string, m *ChainRuntime, v *gibbsView, lo, hi int, r *rng.RNG) {
+// checkOracles compares fill against fillReference for every token of
+// documents [lo, hi) seen through view v with the token removed (the state
+// the kernels sample in), then Phi against phiReference.
+func checkOracles(t *testing.T, name string, m *ChainRuntime, v *gibbsView, lo, hi int) {
 	t.Helper()
 	got, want := make([]float64, m.T), make([]float64, m.T)
 	for d := lo; d < hi; d++ {
@@ -315,15 +329,9 @@ func checkOracles(t *testing.T, name string, m *ChainRuntime, v *gibbsView, lo, 
 		for i, w := range m.c.Docs[d].Words {
 			v.setToken(w)
 			v.dec(m.z[d][i])
-			fillReference(v, 0, m.T, want)
-			v.fill(0, m.T, got)
+			fillReference(v, want)
+			v.fill(got)
 			bitsEqual(t, name+": fill", got, want)
-			a, b := r.Intn(m.T), r.Intn(m.T)+1
-			if a >= b {
-				a, b = b-1, a+1
-			}
-			v.fill(a, b, got[:b-a])
-			bitsEqual(t, name+": chunked fill", got[:b-a], want[a:b])
 			v.inc(m.z[d][i])
 		}
 	}
@@ -365,7 +373,7 @@ func TestFillOracle(t *testing.T) {
 			opts.Seed += seed
 			c.set(&opts)
 			m, _ := appendChain(t, data, opts)
-			checkOracles(t, c.name+" at init", &m.ChainRuntime, m.seq, 0, m.D, r)
+			checkOracles(t, c.name+" at init", &m.ChainRuntime, m.seq, 0, m.D)
 			m.Run(8)
 			if c.name == "integrated" {
 				pruned := false
@@ -376,11 +384,11 @@ func TestFillOracle(t *testing.T) {
 					t.Fatalf("seed %d: fixture pruned nothing; the disabled branch is not exercised", opts.Seed)
 				}
 			}
-			checkOracles(t, c.name+" after sweeps", &m.ChainRuntime, m.seq, 0, m.D, r)
+			checkOracles(t, c.name+" after sweeps", &m.ChainRuntime, m.seq, 0, m.D)
 			for _, sh := range m.shards {
 				// Shard views sample against private slabs left at their own
 				// end-of-sweep state.
-				checkOracles(t, c.name+" shard view", &m.ChainRuntime, sh.view, sh.lo, sh.hi, r)
+				checkOracles(t, c.name+" shard view", &m.ChainRuntime, sh.view, sh.lo, sh.hi)
 			}
 
 			// Overlay: pretend other workers hold a few tokens of every word.
@@ -393,16 +401,16 @@ func TestFillOracle(t *testing.T) {
 			if err := m.SetGlobalCounts(global); err != nil {
 				t.Fatal(err)
 			}
-			checkOracles(t, c.name+" under overlay", &m.ChainRuntime, m.seq, 0, m.D, r)
+			checkOracles(t, c.name+" under overlay", &m.ChainRuntime, m.seq, 0, m.D)
 			m.Run(2)
-			checkOracles(t, c.name+" swept under overlay", &m.ChainRuntime, m.seq, 0, m.D, r)
+			checkOracles(t, c.name+" swept under overlay", &m.ChainRuntime, m.seq, 0, m.D)
 
 			if err := m.AppendDocs(streamedDocs(m.V, 3, 17), 2); err != nil {
 				t.Fatal(err)
 			}
-			checkOracles(t, c.name+" after append", &m.ChainRuntime, m.seq, 0, m.D, r)
+			checkOracles(t, c.name+" after append", &m.ChainRuntime, m.seq, 0, m.D)
 			m.Run(2)
-			checkOracles(t, c.name+" swept after append", &m.ChainRuntime, m.seq, 0, m.D, r)
+			checkOracles(t, c.name+" swept after append", &m.ChainRuntime, m.seq, 0, m.D)
 			m.Close()
 		}
 	}

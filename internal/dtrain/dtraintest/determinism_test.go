@@ -25,7 +25,7 @@ func TestSingleWorkerMatchesSerialChain(t *testing.T) {
 		{"sequential", 0},
 		{"sharded-docs", 3},
 	} {
-		for _, kernel := range []string{"serial", "simple-parallel", "prefix-sums", "sparse"} {
+		for _, kernel := range []string{"serial", "sparse"} {
 			t.Run(fmt.Sprintf("%s/%s", mode.name, kernel), func(t *testing.T) {
 				spec := DefaultSpec(101)
 				spec.Sampler = kernel

@@ -31,7 +31,7 @@ type ChainSpec struct {
 	LambdaBurnIn        int     `json:"lambda_burn_in,omitempty"`
 	FreezeLambdaWeights bool    `json:"freeze_lambda_weights,omitempty"`
 	UseSmoothing        bool    `json:"use_smoothing,omitempty"`
-	Sampler             string  `json:"sampler,omitempty"`    // "serial" | "simple-parallel" | "prefix-sums" | "sparse"
+	Sampler             string  `json:"sampler,omitempty"`    // "serial" | "sparse"
 	SweepMode           string  `json:"sweep_mode,omitempty"` // "sequential" | "sharded-docs"
 	Shards              int     `json:"shards,omitempty"`     // in-worker document shards (SweepShardedDocs)
 	Threads             int     `json:"threads,omitempty"`
@@ -39,20 +39,17 @@ type ChainSpec struct {
 }
 
 // ParseSampler maps a sampler kernel name (the SamplerKind.String() values;
-// "" means serial) to its core constant.
+// "" means serial) to its core constant. A spec naming one of the retired
+// within-token kernels fails with core.ErrRetiredSampler.
 func ParseSampler(name string) (core.SamplerKind, error) {
-	switch name {
-	case "", core.SamplerSerial.String():
+	if name == "" {
 		return core.SamplerSerial, nil
-	case core.SamplerSimpleParallel.String():
-		return core.SamplerSimpleParallel, nil
-	case core.SamplerPrefixSums.String():
-		return core.SamplerPrefixSums, nil
-	case core.SamplerSparse.String():
-		return core.SamplerSparse, nil
-	default:
-		return 0, fmt.Errorf("dtrain: unknown sampler kernel %q (serial, simple-parallel, prefix-sums, sparse)", name)
 	}
+	kind, err := core.ParseSampler(name)
+	if err != nil {
+		return 0, fmt.Errorf("dtrain: chain spec: %w", err)
+	}
+	return kind, nil
 }
 
 // ParseSweepMode maps a sweep mode name ("" means sequential) to its core

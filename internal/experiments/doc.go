@@ -14,8 +14,12 @@
 //   - Figs. 5–6 (figs56.go): labeling accuracy vs baselines and the
 //     post-hoc labelers (internal/labeling).
 //   - Fig. 7 (fig7.go): held-out perplexity across (µ, σ).
-//   - Fig. 8 (fig8.go, fig8f.go): parallel-sampler speedups (Algorithms
-//     2–3) and their exactness against the serial chain.
+//   - Fig. 8 (fig8.go): assignment accuracy, PMI and θ divergence against
+//     the baselines. Fig. 8(f) (fig8f.go): iteration time vs topic count on
+//     one thread through internal/core, and the paper's within-token
+//     parallel kernels (Algorithms 2–3, kernels.go — experiment-local, not
+//     core samplers) timed per draw against the sequential scan and pinned
+//     to it index for index.
 //   - Case study (casestudy.go): the §I "school supplies" illustration.
 //
 // Experiments run at two scales: the default is sized for a laptop CPU

@@ -160,8 +160,15 @@ func TestFig8eQuick(t *testing.T) {
 
 func TestFig8fQuick(t *testing.T) {
 	rep := runQuick(t, "fig8f")
-	if rep.Metrics["time_ratio_1thread"] <= 0 {
-		t.Fatal("timing ratio missing")
+	for _, name := range []string{"t_ratio", "time_ratio_1thread", "avg_seconds_T150_threads1",
+		"draw_ns_T150_sequential", "draw_ns_T150_simple_parallel_threads3", "draw_ns_T150_prefix_sums_threads3"} {
+		if rep.Metrics[name] <= 0 {
+			t.Errorf("metric %s missing", name)
+		}
+	}
+	// runQuick already failed on the shape check; this names the pin.
+	if n := rep.Metrics["kernel_index_mismatches"]; n != 0 {
+		t.Errorf("Algorithms 2/3 disagreed with the sequential scan on %v draws", n)
 	}
 }
 

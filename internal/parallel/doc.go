@@ -1,33 +1,12 @@
-// Package parallel implements the paper's two exactness-preserving parallel
-// sampling procedures (PAPER.md §III-C4) and the worker pool they run on:
-// Algorithm 2, prefix-sum (Blelloch scan) sampling, and Algorithm 3, simple
-// chunked parallel sampling. Both compute the unnormalized topic
-// probabilities of one token in parallel, form cumulative sums, and select
-// the sampled topic with a binary search over the cumulative vector — so
-// given the same uniform draw they return the same topic the serial sampler
-// would (up to floating-point summation order), without the approximation
-// error of asynchronous parallel LDA schemes.
+// Package parallel is the worker pool the repository's data-parallel regions
+// run on. Pool is a reusable fixed-size pool with barrier-style parallel-for
+// regions (one worker executes inline, starting no goroutines): the
+// document-sharded sweep mode of internal/core schedules whole shards on it,
+// the model build runs topics across it, and batch inference runs documents.
 //
-// SparseDirect is the third kernel shape: it delegates the draw to a
-// DirectFunc bound to sparse bucket state owned by the caller (the engine's
-// SparseLDA-style decomposition in internal/core), touching only the
-// token's nonzero topics, and falls back to the dense serial scan on
-// degenerate mass so every kernel degrades identically.
-//
-// # Invariants
-//
-// TopicSampler implementations consume exactly one uniform variate per
-// sampled token, supplied by the caller; the kernels themselves hold no
-// RNG. That single-draw contract is what lets the engine's checkpointing
-// record a chain's randomness as bare stream positions, and lets kernels
-// be swapped without re-deriving the chain's random sequence alignment.
-// FillFunc callbacks must be safe to invoke over disjoint topic ranges
-// concurrently; they write only to the output slice they are handed.
-//
-// Pool is a reusable fixed-size worker pool with barrier-style parallel-for
-// regions (one worker executes inline). The document-sharded sweep mode of
-// internal/core schedules whole shards on it, while the samplers here split
-// a single token's topic vector — the two axes of parallelism the paper
-// contrasts with approximate schemes such as AD-LDA (implemented for
-// comparison in internal/lda).
+// The paper's within-token parallel sampling procedures (PAPER.md §III-C4,
+// Algorithms 2 and 3) also run on a Pool, but they live with the Fig. 8(f)
+// reproduction in internal/experiments: split across one token's topic
+// vector they lose to the serial scan at every measured topic count, so the
+// engine parallelizes across documents only.
 package parallel

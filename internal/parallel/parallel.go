@@ -1,11 +1,6 @@
 package parallel
 
-import (
-	"math"
-	"sync"
-
-	"sourcelda/internal/mathx"
-)
+import "sync"
 
 // Pool is a reusable fixed-size worker pool supporting barrier-style
 // parallel-for regions. A Pool with one worker executes regions inline.
@@ -78,248 +73,4 @@ func (p *Pool) Run(n int, fn func(lo, hi int)) {
 		}
 	}
 	wg.Wait()
-}
-
-// FillFunc computes unnormalized topic probabilities for the contiguous
-// range [lo, hi) into out, which has length hi-lo: out[i] = P(z = lo+i | …).
-// Implementations evaluate with direct slice indexing over flat state, so a
-// sampler invokes one call per chunk instead of one closure call per topic.
-// A FillFunc must be safe for concurrent invocation on disjoint ranges.
-type FillFunc func(lo, hi int, out []float64)
-
-// TopicSampler selects a topic index given a range filler for the per-topic
-// probabilities and a uniform variate u in [0, 1). Implementations differ
-// only in how the probability vector is computed and scanned.
-type TopicSampler interface {
-	// Sample fills the probabilities for [0, T), forms cumulative sums, and
-	// returns the index selected by u·total via binary search.
-	Sample(T int, fill FillFunc, u float64) int
-	// Name identifies the algorithm for reporting.
-	Name() string
-}
-
-// Serial is the baseline sequential sampler (Algorithm 1's SAMPLE inner
-// loop).
-type Serial struct {
-	buf []float64
-}
-
-// NewSerial returns a serial sampler.
-func NewSerial() *Serial { return &Serial{} }
-
-// Name implements TopicSampler.
-func (s *Serial) Name() string { return "serial" }
-
-// Sample implements TopicSampler.
-func (s *Serial) Sample(T int, fill FillFunc, u float64) int {
-	s.buf = resize(s.buf, T)
-	buf := s.buf[:T]
-	fill(0, T, buf)
-	var run float64
-	for t := 0; t < T; t++ {
-		run += buf[t]
-		buf[t] = run
-	}
-	return searchTarget(buf, u)
-}
-
-// SimpleParallel implements Algorithm 3: each worker computes and locally
-// scans a contiguous chunk, chunk totals are combined sequentially at the
-// barrier, and a second parallel pass adds each chunk's offset.
-type SimpleParallel struct {
-	pool *Pool
-	buf  []float64
-	ends []float64
-}
-
-// NewSimpleParallel returns an Algorithm 3 sampler backed by pool.
-func NewSimpleParallel(pool *Pool) *SimpleParallel {
-	return &SimpleParallel{pool: pool, ends: make([]float64, pool.Workers())}
-}
-
-// Name implements TopicSampler.
-func (s *SimpleParallel) Name() string { return "simple-parallel" }
-
-// Sample implements TopicSampler.
-func (s *SimpleParallel) Sample(T int, fill FillFunc, u float64) int {
-	s.buf = resize(s.buf, T)
-	buf := s.buf[:T]
-	workers := s.pool.Workers()
-	chunks := workers
-	if chunks > T {
-		chunks = T
-	}
-	size := (T + chunks - 1) / chunks
-	nChunks := (T + size - 1) / size
-	if cap(s.ends) < nChunks {
-		s.ends = make([]float64, nChunks)
-	}
-	ends := s.ends[:nChunks]
-
-	// Phase 1 (parallel): evaluate and locally scan each chunk.
-	s.pool.Run(T, func(lo, hi int) {
-		chunk := buf[lo:hi]
-		fill(lo, hi, chunk)
-		var run float64
-		for i, v := range chunk {
-			run += v
-			chunk[i] = run
-		}
-		ends[lo/size] = run
-	})
-	// Phase 2 (sequential): combine chunk end values into offsets.
-	var offset float64
-	for c := 0; c < nChunks; c++ {
-		end := ends[c]
-		ends[c] = offset
-		offset += end
-	}
-	// Phase 3 (parallel): add each chunk's offset to its items.
-	s.pool.Run(T, func(lo, hi int) {
-		off := ends[lo/size]
-		if off == 0 {
-			return
-		}
-		for t := lo; t < hi; t++ {
-			buf[t] += off
-		}
-	})
-	return searchTarget(buf, u)
-}
-
-// PrefixSums implements Algorithm 2: a Blelloch work-efficient scan
-// (upsweep, clear, downsweep) over a power-of-two padded buffer, converted
-// to inclusive sums with a final parallel pass, followed by binary search.
-type PrefixSums struct {
-	pool *Pool
-	vals []float64
-	scan []float64
-}
-
-// NewPrefixSums returns an Algorithm 2 sampler backed by pool.
-func NewPrefixSums(pool *Pool) *PrefixSums { return &PrefixSums{pool: pool} }
-
-// Name implements TopicSampler.
-func (s *PrefixSums) Name() string { return "prefix-sums" }
-
-// Sample implements TopicSampler.
-func (s *PrefixSums) Sample(T int, fill FillFunc, u float64) int {
-	n := nextPow2(T)
-	s.vals = resize(s.vals, n)
-	s.scan = resize(s.scan, n)
-	vals, scan := s.vals[:n], s.scan[:n]
-
-	// Evaluate probabilities in parallel; zero the padding.
-	s.pool.Run(T, func(lo, hi int) {
-		fill(lo, hi, vals[lo:hi])
-		copy(scan[lo:hi], vals[lo:hi])
-	})
-	for t := T; t < n; t++ {
-		vals[t] = 0
-		scan[t] = 0
-	}
-
-	// Upsweep: for d in [0, log2 n): scan[i+2^{d+1}-1] += scan[i+2^d-1].
-	for d := 1; d < n; d <<= 1 {
-		stride := d << 1
-		iterations := n / stride
-		s.pool.Run(iterations, func(lo, hi int) {
-			for it := lo; it < hi; it++ {
-				i := it * stride
-				scan[i+stride-1] += scan[i+d-1]
-			}
-		})
-	}
-	// Clear the root, downsweep.
-	scan[n-1] = 0
-	for d := n >> 1; d >= 1; d >>= 1 {
-		stride := d << 1
-		iterations := n / stride
-		s.pool.Run(iterations, func(lo, hi int) {
-			for it := lo; it < hi; it++ {
-				i := it * stride
-				left := scan[i+d-1]
-				scan[i+d-1] = scan[i+stride-1]
-				scan[i+stride-1] = left + scan[i+stride-1]
-			}
-		})
-	}
-	// Convert the exclusive scan to inclusive sums in parallel.
-	s.pool.Run(T, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			scan[t] += vals[t]
-		}
-	})
-	return searchTarget(scan[:T], u)
-}
-
-// DirectFunc draws a topic for the current token straight from sparse
-// bucket state, bypassing the dense probability vector entirely. ok=false
-// reports degenerate (zero or non-finite) total mass, asking the sampler to
-// fall back to the dense path so every kernel degrades identically.
-type DirectFunc func(u float64) (topic int, ok bool)
-
-// SparseDirect adapts a DirectFunc — the SparseLDA-style bucket-decomposed
-// draw maintained by the Gibbs view — to the TopicSampler interface. The
-// dense FillFunc is evaluated only on the degenerate-mass fallback, so the
-// per-token cost is proportional to the token's sparsity, not to T.
-type SparseDirect struct {
-	direct   DirectFunc
-	fallback *Serial
-}
-
-// NewSparseDirect returns a sampler that draws through direct and falls back
-// to a serial dense scan on degenerate mass.
-func NewSparseDirect(direct DirectFunc) *SparseDirect {
-	return &SparseDirect{direct: direct, fallback: NewSerial()}
-}
-
-// Name implements TopicSampler.
-func (s *SparseDirect) Name() string { return "sparse" }
-
-// Sample implements TopicSampler.
-func (s *SparseDirect) Sample(T int, fill FillFunc, u float64) int {
-	if t, ok := s.direct(u); ok {
-		return t
-	}
-	return s.fallback.Sample(T, fill, u)
-}
-
-// searchTarget maps u in [0, 1) onto the cumulative vector and
-// binary-searches for the selected index. A non-positive or non-finite
-// total falls back to mathx.SelectPositiveSupport over the increments — the
-// same restricted-support contract rng.Categorical applies to raw weights —
-// and panics when no index has positive mass: with valid priors every
-// enabled topic's mass is strictly positive, so an all-zero vector means
-// corrupted sampler state, not a samplable distribution.
-func searchTarget(cum []float64, u float64) int {
-	total := cum[len(cum)-1]
-	if total > 0 && !math.IsNaN(total) && !math.IsInf(total, 0) {
-		return mathx.SearchCumulative(cum, u*total)
-	}
-	idx, ok := mathx.SelectPositiveSupport(len(cum), u, func(i int) float64 {
-		if i == 0 {
-			return cum[0]
-		}
-		return cum[i] - cum[i-1]
-	})
-	if !ok {
-		panic("parallel: sampler received no positive probability mass")
-	}
-	return idx
-}
-
-func resize(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }

@@ -1,12 +1,8 @@
 package parallel
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
-
-	"sourcelda/internal/rng"
 )
 
 func TestPoolRunCoversRange(t *testing.T) {
@@ -50,208 +46,4 @@ func TestPoolDoubleCloseSafe(t *testing.T) {
 	p := NewPool(3)
 	p.Close()
 	p.Close() // second close must not panic
-}
-
-// fillFrom adapts a dense probability vector to the FillFunc contract.
-func fillFrom(probs []float64) FillFunc {
-	return func(lo, hi int, out []float64) { copy(out, probs[lo:hi]) }
-}
-
-// evaluators returns one sampler of each kind sharing the worker count.
-func evaluators(workers int) ([]TopicSampler, func()) {
-	pool := NewPool(workers)
-	return []TopicSampler{
-		NewSerial(),
-		NewSimpleParallel(pool),
-		NewPrefixSums(pool),
-	}, pool.Close
-}
-
-func TestSamplersAgreeExactly(t *testing.T) {
-	// The paper's exactness guarantee: all three kernels must select the
-	// same topic given the same probabilities and the same uniform draw.
-	for _, workers := range []int{1, 2, 3, 5} {
-		samplers, done := evaluators(workers)
-		r := rng.New(101)
-		for trial := 0; trial < 200; trial++ {
-			T := 1 + r.Intn(300)
-			probs := make([]float64, T)
-			for i := range probs {
-				probs[i] = r.Float64() * 10
-			}
-			u := r.Float64()
-			fill := fillFrom(probs)
-			base := samplers[0].Sample(T, fill, u)
-			for _, s := range samplers[1:] {
-				if got := s.Sample(T, fill, u); got != base {
-					t.Fatalf("workers=%d trial=%d T=%d: %s chose %d, serial chose %d",
-						workers, trial, T, s.Name(), got, base)
-				}
-			}
-		}
-		done()
-	}
-}
-
-func TestSamplersMatchDistribution(t *testing.T) {
-	// Sampling frequencies must match the probability vector.
-	samplers, done := evaluators(3)
-	defer done()
-	probs := []float64{1, 2, 3, 4} // P = 0.1, 0.2, 0.3, 0.4
-	fill := fillFrom(probs)
-	for _, s := range samplers {
-		r := rng.New(55)
-		counts := make([]int, 4)
-		const n = 40000
-		for i := 0; i < n; i++ {
-			counts[s.Sample(4, fill, r.Float64())]++
-		}
-		for i, c := range counts {
-			want := probs[i] / 10
-			got := float64(c) / n
-			if math.Abs(got-want) > 0.02 {
-				t.Errorf("%s: P(%d) = %v, want ≈%v", s.Name(), i, got, want)
-			}
-		}
-	}
-}
-
-func TestSamplersSingleTopic(t *testing.T) {
-	samplers, done := evaluators(2)
-	defer done()
-	for _, s := range samplers {
-		if got := s.Sample(1, fillFrom([]float64{5}), 0.7); got != 0 {
-			t.Fatalf("%s: single topic must return 0, got %d", s.Name(), got)
-		}
-	}
-}
-
-func TestSamplersDegenerateMassFallback(t *testing.T) {
-	// A NaN-poisoned total must fall back to the positive-mass support
-	// only: index 2 is the sole positive entry and must always win, never
-	// a zero-probability index (the old uniform-over-everything fallback
-	// could resurrect pruned topics).
-	samplers, done := evaluators(2)
-	defer done()
-	probs := []float64{0, 0, 3, math.NaN()}
-	for _, s := range samplers {
-		for _, u := range []float64{0, 0.3, 0.6, 0.99} {
-			got := s.Sample(4, fillFrom(probs), u)
-			if got != 2 {
-				t.Fatalf("%s: degenerate fallback chose index %d, want 2", s.Name(), got)
-			}
-		}
-	}
-}
-
-func TestSamplersPanicOnNoPositiveMass(t *testing.T) {
-	samplers, done := evaluators(2)
-	defer done()
-	for _, s := range samplers {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: all-zero mass must panic, not invent a topic", s.Name())
-				}
-			}()
-			s.Sample(4, fillFrom(make([]float64, 4)), 0.6)
-		}()
-	}
-}
-
-func TestSparseDirectSampler(t *testing.T) {
-	// The direct path wins when it reports ok.
-	s := NewSparseDirect(func(u float64) (int, bool) { return 3, true })
-	if s.Name() != "sparse" {
-		t.Fatalf("name %q", s.Name())
-	}
-	if got := s.Sample(8, fillFrom(make([]float64, 8)), 0.5); got != 3 {
-		t.Fatalf("direct draw ignored: got %d", got)
-	}
-	// On degenerate mass (ok=false) it falls back to the dense serial scan
-	// with the same u, agreeing with a plain Serial sampler exactly.
-	probs := []float64{0.5, 0, 2, 1}
-	s = NewSparseDirect(func(u float64) (int, bool) { return 0, false })
-	serial := NewSerial()
-	for _, u := range []float64{0, 0.2, 0.5, 0.9, 0.999} {
-		if a, b := s.Sample(4, fillFrom(probs), u), serial.Sample(4, fillFrom(probs), u); a != b {
-			t.Fatalf("u=%v: fallback drew %d, serial drew %d", u, a, b)
-		}
-	}
-}
-
-func TestSamplersRespectZeroProbability(t *testing.T) {
-	samplers, done := evaluators(3)
-	defer done()
-	probs := []float64{0, 1, 0, 1, 0}
-	fill := fillFrom(probs)
-	r := rng.New(77)
-	for _, s := range samplers {
-		for i := 0; i < 500; i++ {
-			k := s.Sample(5, fill, r.Float64())
-			if probs[k] == 0 {
-				t.Fatalf("%s selected zero-probability topic %d", s.Name(), k)
-			}
-		}
-	}
-}
-
-func TestPrefixSumsNonPowerOfTwo(t *testing.T) {
-	// Blelloch pads to a power of two; verify odd sizes behave.
-	pool := NewPool(3)
-	defer pool.Close()
-	ps := NewPrefixSums(pool)
-	serial := NewSerial()
-	r := rng.New(31)
-	for _, T := range []int{1, 2, 3, 5, 17, 63, 65, 100, 127, 129} {
-		probs := make([]float64, T)
-		for i := range probs {
-			probs[i] = r.Float64()
-		}
-		u := r.Float64()
-		fill := fillFrom(probs)
-		if a, b := ps.Sample(T, fill, u), serial.Sample(T, fill, u); a != b {
-			t.Fatalf("T=%d: prefix %d vs serial %d", T, a, b)
-		}
-	}
-}
-
-func TestSamplerPropertyValidIndex(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
-	sp := NewSimpleParallel(pool)
-	f := func(seed int64, u float64) bool {
-		u = math.Abs(math.Mod(u, 1))
-		r := rng.New(seed)
-		T := 1 + r.Intn(50)
-		probs := make([]float64, T)
-		for i := range probs {
-			probs[i] = r.Float64()
-		}
-		k := sp.Sample(T, fillFrom(probs), u)
-		return k >= 0 && k < T
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSamplerNames(t *testing.T) {
-	samplers, done := evaluators(2)
-	defer done()
-	want := []string{"serial", "simple-parallel", "prefix-sums"}
-	for i, s := range samplers {
-		if s.Name() != want[i] {
-			t.Fatalf("sampler %d name = %q, want %q", i, s.Name(), want[i])
-		}
-	}
-}
-
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 100: 128, 128: 128}
-	for in, want := range cases {
-		if got := nextPow2(in); got != want {
-			t.Errorf("nextPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
 }

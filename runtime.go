@@ -63,7 +63,10 @@ func FitRuntime(c *Corpus, k *KnowledgeSource, opts Options) (*Runtime, error) {
 		Vocab: c.c.Vocab,
 	}
 	pc := &Corpus{c: private}
-	coreOpts := coreOptions(pc, k, opts)
+	coreOpts, err := coreOptions(pc, k, opts)
+	if err != nil {
+		return nil, err
+	}
 	m, err := core.NewModel(private, k.s, coreOpts)
 	if err != nil {
 		return nil, err
@@ -455,7 +458,10 @@ func LoadChainRuntime(r io.Reader) (*Runtime, error) {
 		return nil, err
 	}
 	opts := header.Options.facade()
-	coreOpts := coreOptions(&Corpus{c: c}, &KnowledgeSource{s: src}, opts)
+	coreOpts, err := coreOptions(&Corpus{c: c}, &KnowledgeSource{s: src}, opts)
+	if err != nil {
+		return nil, fmt.Errorf("sourcelda: chain archive options: %w", err)
+	}
 	chain, err := core.Restore(c, src, coreOpts, ck)
 	if err != nil {
 		return nil, err

@@ -1,9 +1,14 @@
 package sourcelda
 
 import (
+	"bytes"
+	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"sourcelda/internal/core"
 )
 
 func fitRuntimeFixture(t *testing.T) *Runtime {
@@ -195,5 +200,53 @@ func TestRuntimeClosed(t *testing.T) {
 	}
 	if err := rt.SaveChainFile(filepath.Join(t.TempDir(), "x.chain")); err != ErrRuntimeClosed {
 		t.Fatalf("SaveChainFile after close: %v", err)
+	}
+}
+
+// TestUnknownSamplersRejected: a Sampler value naming no kernel this build
+// carries must fail every entry point that builds a chain — Fit, FitRuntime,
+// Resume, and LoadChainRuntime decoding it from an archive header — and the
+// two values the retired Algorithm 3/2 kernels held must fail by name. None
+// may fall through to a serial chain.
+func TestUnknownSamplersRejected(t *testing.T) {
+	c, k := buildFixture(t)
+	rt := fitRuntimeFixture(t)
+	ckDir := t.TempDir()
+	ckOpts := Options{FreeTopics: 1, Iterations: 5, Seed: 21, Checkpoint: &Checkpointing{Dir: ckDir, EverySweeps: 5}}
+	if _, err := Fit(c, k, ckOpts); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sampler Sampler
+		retired string
+	}{
+		{3, "simple-parallel"},
+		{4, "prefix-sums"},
+		{5, ""},
+		{-1, ""},
+	} {
+		opts := Options{FreeTopics: 1, Iterations: 5, Seed: 21, Sampler: tc.sampler}
+		_, errFit := Fit(c, k, opts)
+		_, errRuntime := FitRuntime(c, k, opts)
+		_, errResume := Resume(ckDir, c, k, opts)
+		// An archive whose header carries the value: what a build that still
+		// had the kernel would have written.
+		rt.opts.Sampler = tc.sampler
+		var archive bytes.Buffer
+		if err := rt.SaveChain(&archive); err != nil {
+			t.Fatal(err)
+		}
+		_, errLoad := LoadChainRuntime(&archive)
+		for entry, err := range map[string]error{"Fit": errFit, "FitRuntime": errRuntime, "Resume": errResume, "LoadChainRuntime": errLoad} {
+			if err == nil {
+				t.Fatalf("Sampler %d: %s accepted it", tc.sampler, entry)
+			}
+			if got := errors.Is(err, core.ErrRetiredSampler); got != (tc.retired != "") {
+				t.Fatalf("Sampler %d: %s: errors.Is(ErrRetiredSampler) = %v for %v", tc.sampler, entry, got, err)
+			}
+			if !strings.Contains(err.Error(), tc.retired) {
+				t.Fatalf("Sampler %d: %s error does not name the kernel: %v", tc.sampler, entry, err)
+			}
+		}
 	}
 }

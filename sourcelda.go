@@ -140,10 +140,10 @@ func (b *CorpusBuilder) Build() (*Corpus, *KnowledgeSource, error) {
 type Sampler int
 
 const (
-	// SamplerAuto picks the historical default: the serial scan, or the
-	// chunked-scan parallel kernel (Algorithm 3) when Threads > 1.
+	// SamplerAuto is the default kernel: today the dense serial scan, the
+	// same chain as SamplerSerial.
 	SamplerAuto Sampler = iota
-	// SamplerSerial forces Algorithm 1's sequential scan over all topics.
+	// SamplerSerial is Algorithm 1's sequential scan over all topics.
 	SamplerSerial
 	// SamplerSparse selects the SparseLDA-style bucket-decomposed kernel:
 	// per-token cost proportional to the token's topic sparsity instead of
@@ -151,12 +151,14 @@ const (
 	// (a few hundred and up) once the chain has concentrated; the measured
 	// crossover against the dense scan is in docs/OPERATIONS.md.
 	SamplerSparse
-	// SamplerSimpleParallel is the paper's Algorithm 3 (chunked scan over
-	// one token's topic vector, parallelized across Threads workers).
-	SamplerSimpleParallel
-	// SamplerPrefixSums is the paper's Algorithm 2 (Blelloch scan).
-	SamplerPrefixSums
 )
+
+// retiredSamplers are the values the paper's within-token parallel kernels
+// (Algorithms 3 and 2) held before they moved to the Fig. 8(f) experiment.
+// A chain archive header — or a caller built against the old constants —
+// carrying one gets core.ErrRetiredSampler by name instead of a silent
+// serial chain.
+var retiredSamplers = map[Sampler]string{3: "simple-parallel", 4: "prefix-sums"}
 
 // LambdaPrior configures the divergence-from-source behaviour.
 type LambdaPrior struct {
@@ -183,15 +185,14 @@ type Options struct {
 	Iterations int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Threads > 1 selects the parallel chunked-scan sampler with that many
-	// workers (the paper's Algorithm 3), unless Shards also requests the
-	// document-sharded sweep mode or Sampler names a kernel explicitly.
+	// Threads bounds the workers sweeping document shards when Shards > 0.
+	// It is a resource bound only: it never shapes the chain, a sequential
+	// sweep ignores it, and a checkpointed run may resume under any value.
 	Threads int
-	// Sampler selects the per-token sampling kernel. The default
-	// (SamplerAuto) preserves the historical behaviour driven by Threads
-	// and Shards; an explicit kernel overrides it. The sampler shapes the
+	// Sampler selects the per-token sampling kernel. The sampler shapes the
 	// chain's random trajectory, so resuming a checkpointed run requires
-	// the same choice the run was started with.
+	// the same choice the run was started with (SamplerAuto and
+	// SamplerSerial are the same choice).
 	Sampler Sampler
 	// Shards > 0 switches sweeps to the document-sharded data-parallel mode:
 	// the corpus is split into that many document shards swept concurrently
@@ -440,9 +441,11 @@ func (t Topic) Probability(word string) float64 {
 }
 
 // coreOptions translates facade options into the internal chain options —
-// one mapping shared by Fit and Resume, so a resumed run can never rebuild
-// the chain under a different configuration than the one that started it.
-func coreOptions(c *Corpus, k *KnowledgeSource, opts Options) core.Options {
+// one mapping shared by Fit, Resume, FitRuntime and LoadChainRuntime, so a
+// resumed run can never rebuild the chain under a different configuration
+// than the one that started it. It fails on a Sampler value that names no
+// kernel this build carries.
+func coreOptions(c *Corpus, k *KnowledgeSource, opts Options) (core.Options, error) {
 	T := opts.FreeTopics + k.s.Len()
 	coreOpts := core.Options{
 		NumFreeTopics:   opts.FreeTopics,
@@ -473,14 +476,9 @@ func coreOptions(c *Corpus, k *KnowledgeSource, opts Options) core.Options {
 		coreOpts.Mu, coreOpts.Sigma = opts.Lambda.Mu, opts.Lambda.Sigma
 		coreOpts.UseSmoothing = true
 	}
-	if opts.Threads > 1 {
-		coreOpts.Sampler = core.SamplerSimpleParallel
-		coreOpts.Threads = opts.Threads
-	}
 	if opts.Shards > 0 {
 		coreOpts.SweepMode = core.SweepShardedDocs
 		coreOpts.Shards = opts.Shards
-		coreOpts.Sampler = core.SamplerSerial
 		if opts.Threads > 0 {
 			// An explicit Threads setting is a resource bound; honor it.
 			coreOpts.Threads = opts.Threads
@@ -488,20 +486,18 @@ func coreOptions(c *Corpus, k *KnowledgeSource, opts Options) core.Options {
 			coreOpts.Threads = core.DefaultShardWorkers(opts.Shards, c.c.NumDocs())
 		}
 	}
-	// An explicit kernel choice overrides the Threads/Shards-derived
-	// default; SamplerAuto keeps it (so existing configurations — and their
-	// checkpoint chain digests — are untouched).
 	switch opts.Sampler {
-	case SamplerSerial:
+	case SamplerAuto, SamplerSerial:
 		coreOpts.Sampler = core.SamplerSerial
 	case SamplerSparse:
 		coreOpts.Sampler = core.SamplerSparse
-	case SamplerSimpleParallel:
-		coreOpts.Sampler = core.SamplerSimpleParallel
-	case SamplerPrefixSums:
-		coreOpts.Sampler = core.SamplerPrefixSums
+	default:
+		if name, ok := retiredSamplers[opts.Sampler]; ok {
+			return core.Options{}, fmt.Errorf("sourcelda: Options.Sampler %d (%s): %w", int(opts.Sampler), name, core.ErrRetiredSampler)
+		}
+		return core.Options{}, fmt.Errorf("sourcelda: Options.Sampler is %d; it must be SamplerAuto, SamplerSerial or SamplerSparse", int(opts.Sampler))
 	}
-	return coreOpts
+	return coreOpts, nil
 }
 
 // Fit trains Source-LDA on the corpus with the knowledge source.
@@ -509,7 +505,10 @@ func Fit(c *Corpus, k *KnowledgeSource, opts Options) (*Model, error) {
 	if c == nil || k == nil {
 		return nil, errors.New("sourcelda: nil corpus or knowledge source")
 	}
-	coreOpts := coreOptions(c, k, opts)
+	coreOpts, err := coreOptions(c, k, opts)
+	if err != nil {
+		return nil, err
+	}
 	m, err := core.NewModel(c.c, k.s, coreOpts)
 	if err != nil {
 		return nil, err
@@ -552,7 +551,10 @@ func Resume(path string, c *Corpus, k *KnowledgeSource, opts Options) (*Model, e
 	if err != nil {
 		return nil, err
 	}
-	coreOpts := coreOptions(c, k, opts)
+	coreOpts, err := coreOptions(c, k, opts)
+	if err != nil {
+		return nil, err
+	}
 	m, err := core.Restore(c.c, k.s, coreOpts, ck)
 	if err != nil {
 		return nil, err

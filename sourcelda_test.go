@@ -307,8 +307,8 @@ func TestSparseSamplerFit(t *testing.T) {
 			t.Fatalf("topic %q has no top words", topic.Label)
 		}
 	}
-	// An explicit SamplerSerial must reproduce the SamplerAuto chain at
-	// Threads <= 1: auto is documented as the historical serial default.
+	// An explicit SamplerSerial must reproduce the SamplerAuto chain: auto is
+	// documented as the dense serial scan.
 	base := Options{Lambda: &LambdaPrior{Fixed: true, Lambda: 1}, Iterations: 10, Seed: 4}
 	auto, err := Fit(c, k, base)
 	if err != nil {
