@@ -33,24 +33,23 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
-	"sourcelda/internal/core"
+	"sourcelda"
+	"sourcelda/cmd/internal/traincli"
 	"sourcelda/internal/corpus"
 	"sourcelda/internal/ctm"
 	"sourcelda/internal/eda"
-	"sourcelda/internal/knowledge"
 	"sourcelda/internal/labeling"
 	"sourcelda/internal/lda"
 	"sourcelda/internal/obs"
 	"sourcelda/internal/persist"
-	"sourcelda/internal/synth"
 	"sourcelda/internal/textproc"
 )
 
@@ -64,7 +63,7 @@ type cliFlags struct {
 	seed                      *int64
 	mu, sigma, lambda         *float64
 	threads, shards           *int
-	sampler, sweep            *string
+	sampler                   *string
 	topN, minDocs             *int
 	saveTo, bundleTo          *string
 	bundleName, bundleVersion *string
@@ -90,10 +89,9 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		mu:            fs.Float64("mu", 0.7, "mean of the N(µ,σ) prior over the λ divergence exponent (default 0.7)"),
 		sigma:         fs.Float64("sigma", 0.3, "std dev of the λ prior, must be >= 0 (default 0.3)"),
 		lambda:        fs.Float64("lambda", -1, "fixed λ exponent in [0,1]; -1 integrates λ out by quadrature (default -1)"),
-		threads:       fs.Int("threads", 1, "worker threads sweeping document shards in sharded mode; a resource bound that never changes the chain, ignored by a sequential sweep (default 1)"),
+		threads:       fs.Int("threads", 0, "worker threads sweeping the -shards document shards; a resource bound that never changes the chain, ignored without -shards; 0 means one per shard, capped at the document and CPU counts (default 0)"),
 		sampler:       fs.String("sampler", "auto", "per-token sampling kernel: auto, serial, or sparse; auto is the dense serial scan (default auto)"),
-		sweep:         fs.String("sweepmode", "sequential", "sweep traversal: sequential (exact collapsed Gibbs) or sharded (document-sharded data-parallel) (default sequential)"),
-		shards:        fs.Int("shards", 0, "document shards for sharded sweeps; > 0 implies -sweepmode=sharded, 0 means one per thread (default 0)"),
+		shards:        fs.Int("shards", 0, "document shards swept concurrently against shard-local counts (document-sharded data-parallel sweeps); the count shapes the chain, 1 reproduces the sequential chain; 0 sweeps sequentially, exact collapsed Gibbs (default 0)"),
 		topN:          fs.Int("top", 10, "words printed per topic (default 10)"),
 		minDocs:       fs.Int("mindocs", 2, "superset reduction: minimum documents a discovered topic must appear in to be printed (default 2)"),
 		saveTo:        fs.String("save", "", "write the fitted srclda snapshot to this JSON file (default \"\": don't)"),
@@ -116,12 +114,8 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 
 func main() {
 	f := defineFlags(flag.CommandLine)
-	corpusDir, sourceDir, model := f.corpusDir, f.sourceDir, f.model
-	freeT, topics, iters, seed := f.freeT, f.topics, f.iters, f.seed
-	mu, sigma, lambda := f.mu, f.sigma, f.lambda
-	threads, sampler, sweep, shards := f.threads, f.sampler, f.sweep, f.shards
-	topN, minDocs, saveTo, bundleTo := f.topN, f.minDocs, f.saveTo, f.bundleTo
-	ckptDir, ckptEvery, ckptKeep, resume := f.ckptDir, f.ckptEvery, f.ckptKeep, f.resume
+	model, freeT, topics, iters, seed := f.model, f.freeT, f.topics, f.iters, f.seed
+	shards, topN, minDocs, saveTo, bundleTo := f.shards, f.topN, f.minDocs, f.saveTo, f.bundleTo
 	flag.Parse()
 
 	if *f.bundleFormat != "json" && *f.bundleFormat != "flat" {
@@ -133,22 +127,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "srclda:", err)
 		os.Exit(2)
 	}
-	// The opt-in debug listener profiles a running chain without touching
-	// its output; it serves pprof plus process runtime gauges.
-	if *f.debugAddr != "" {
-		dbgSrv := &http.Server{
-			Addr:              *f.debugAddr,
-			Handler:           obs.NewDebugMux(func(w io.Writer) { obs.WriteRuntimeMetrics(w, "srclda", -1) }),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			logger.Info("debug listener", "addr", *f.debugAddr)
-			if err := dbgSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("debug listener failed", "addr", *f.debugAddr, "error", err)
-			}
-		}()
-		defer dbgSrv.Close()
-	}
+	defer obs.ServeDebug(*f.debugAddr, logger, func(w io.Writer) { obs.WriteRuntimeMetrics(w, "srclda", -1) })()
 	// Conversion mode: no training, no corpus — just re-encode an existing
 	// bundle and exit.
 	if *f.convertBundle != "" {
@@ -161,45 +140,20 @@ func main() {
 		return
 	}
 
-	// Validate up front so a typo'd mode fails for every -model, not just
-	// srclda (the only model the sweep flags apply to).
-	if *sweep != "sequential" && *sweep != "sharded" {
-		fmt.Fprintf(os.Stderr, "unknown sweep mode %q (want sequential or sharded)\n", *sweep)
+	// Validate up front so a typo'd kernel fails for every -model, not just
+	// srclda (the only model the chain flags apply to).
+	opts, err := traincli.ChainOptions(*freeT, *f.lambda, *f.mu, *f.sigma, *f.sampler, *shards, *f.threads, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	kernel := core.SamplerSerial
-	if *sampler != "auto" {
-		if kernel, err = core.ParseSampler(*sampler); err != nil {
-			fmt.Fprintf(os.Stderr, "-sampler (auto, serial, or sparse): %v\n", err)
-			os.Exit(2)
-		}
+	if *shards > 0 && *model != "srclda" {
+		fmt.Fprintf(os.Stderr, "note: -shards only applies to -model srclda; ignored for %q\n", *model)
 	}
-	sweepSet, threadsSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "sweepmode":
-			sweepSet = true
-		case "threads":
-			threadsSet = true
-		}
-	})
-	// -shards alone implies the sharded mode, matching the sourcelda
-	// facade's Shards semantics; pairing it with an explicit sequential
-	// request is a contradiction worth stopping on.
-	if *shards > 0 && *sweep == "sequential" {
-		if sweepSet {
-			fmt.Fprintln(os.Stderr, "-shards requires -sweepmode=sharded")
-			os.Exit(2)
-		}
-		*sweep = "sharded"
-	}
-	if (*sweep == "sharded" || *shards > 0) && *model != "srclda" {
-		fmt.Fprintf(os.Stderr, "note: -sweepmode/-shards only apply to -model srclda; ignored for %q\n", *model)
-	}
-	if *threads > 1 && *sweep != "sharded" {
+	if *f.threads > 1 && *shards <= 0 {
 		fmt.Fprintln(os.Stderr, "note: -threads only bounds sharded sweeps; ignored for a sequential sweep — use -shards N")
 	}
-	if (*ckptDir != "" || *resume != "") && *model != "srclda" {
+	if (*f.ckptDir != "" || *f.resume != "") && *model != "srclda" {
 		fmt.Fprintf(os.Stderr, "-checkpoint-dir and -resume only apply to -model srclda (got %q)\n", *model)
 		os.Exit(2)
 	}
@@ -207,55 +161,36 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-telemetry-log and -metrics-addr only apply to -model srclda (got %q)\n", *model)
 		os.Exit(2)
 	}
-	if *ckptEvery < 1 {
-		fmt.Fprintf(os.Stderr, "-checkpoint-every is %d; it must be >= 1 sweep\n", *ckptEvery)
+	if *f.ckptEvery < 1 {
+		fmt.Fprintf(os.Stderr, "-checkpoint-every is %d; it must be >= 1 sweep\n", *f.ckptEvery)
+		os.Exit(2)
+	}
+	if *iters < 1 {
+		fmt.Fprintf(os.Stderr, "-iters is %d; it must be >= 1 sweep\n", *iters)
 		os.Exit(2)
 	}
 
-	c, src, err := loadData(*corpusDir, *sourceDir, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
+	c, src, err := traincli.LoadData(*f.corpusDir, *f.sourceDir, *seed)
+	exitOn(err)
 	fmt.Printf("corpus: %d docs, %d tokens, vocabulary %d; knowledge source: %d articles\n\n",
 		c.NumDocs(), c.TotalTokens(), c.VocabSize(), src.Len())
 
 	switch *model {
 	case "srclda":
-		opts := core.Options{
-			NumFreeTopics:    *freeT,
-			Alpha:            50.0 / float64(*freeT+src.Len()),
-			Beta:             200.0 / float64(c.VocabSize()),
-			Mu:               *mu,
-			Sigma:            *sigma,
-			QuadraturePoints: 9,
-			UseSmoothing:     true,
-			Iterations:       *iters,
-			Seed:             *seed,
-			Sampler:          kernel,
-			Threads:          *threads,
-		}
-		if *lambda >= 0 {
-			opts.LambdaMode = core.LambdaFixed
-			opts.Lambda = *lambda
-		} else {
-			opts.LambdaMode = core.LambdaIntegrated
-		}
-		if *sweep == "sharded" {
-			opts.SweepMode = core.SweepShardedDocs
-			opts.Shards = *shards
-			// Default the pool to one worker per shard (capped at docs and
-			// CPUs) so -shards alone actually sweeps in parallel; an
-			// explicit -threads stays a hard resource bound.
-			if !threadsSet {
-				opts.Threads = core.DefaultShardWorkers(*shards, c.NumDocs())
-			}
+		// The façade owns the mapping onto core.Options and the training loop;
+		// this command turns flags into sourcelda.Options and Progress reports
+		// into logs and telemetry.
+		fc, fk := sourcelda.WrapCorpus(c), sourcelda.WrapKnowledgeSource(src)
+		opts.Iterations = *iters
+		if *f.ckptDir != "" {
+			opts.Checkpoint = &sourcelda.Checkpointing{Dir: *f.ckptDir, EverySweeps: *f.ckptEvery, Retain: *f.ckptKeep}
 		}
 		// Telemetry: one JSONL event per sweep and/or live Prometheus gauges.
 		// It implies likelihood tracing; Options.ChainDigest excludes the
 		// tracing knob, so a telemetry run resumes a non-telemetry chain (and
 		// vice versa) without a digest mismatch.
 		var recorder *obs.TrainingRecorder
+		kernel := ""
 		if *f.telemetryLog != "" || *f.metricsAddr != "" {
 			var sink io.Writer
 			if *f.telemetryLog != "" {
@@ -266,6 +201,9 @@ func main() {
 			}
 			recorder = obs.NewTrainingRecorder(sink)
 			opts.TraceLikelihood = true
+			mapped, err := sourcelda.CoreOptions(fc, fk, opts)
+			exitOn(err)
+			kernel = mapped.Sampler.String()
 		}
 		if *f.metricsAddr != "" {
 			// Bind before training starts: a bad address should stop the run
@@ -282,98 +220,60 @@ func main() {
 			}()
 			defer msrv.Close()
 		}
-		var m *core.Model
-		var err error
-		if *resume != "" {
-			var ck *core.Checkpoint
-			ck, err = persist.LoadCheckpointFile(*resume)
-			exitOn(err)
-			m, err = core.Restore(c, src, opts, ck)
-			exitOn(err)
-			logger.Info("resumed from checkpoint", "path", *resume, "sweep", m.Sweeps(), "total_sweeps", *iters)
-		} else {
-			m, err = core.NewModel(c, src, opts)
-			exitOn(err)
-		}
-		defer m.Close()
-		var cw *persist.CheckpointWriter
-		if *ckptDir != "" {
-			cw, err = persist.NewCheckpointWriter(*ckptDir, *ckptKeep)
-			exitOn(err)
-		}
-		var hook core.SweepHook
-		if cw != nil || recorder != nil {
-			totalTokens := c.TotalTokens()
-			hook = func(sweepIdx int, cm *core.Model) error {
-				var ckSecs *float64
-				ckPath := ""
-				if cw != nil && sweepIdx%*ckptEvery == 0 {
-					start := time.Now()
-					path, err := cw.Write(cm.Checkpoint())
-					if err != nil {
-						return err
-					}
-					secs := time.Since(start).Seconds()
-					ckSecs, ckPath = &secs, path
+		if opts.Checkpoint != nil || recorder != nil {
+			opts.Progress = func(p sourcelda.Progress) error {
+				if p.CheckpointPath != "" {
 					logger.Info("checkpoint written",
-						"sweep", sweepIdx, "total_sweeps", *iters,
-						"path", path, "write_seconds", secs)
+						"sweep", p.Sweep, "total_sweeps", p.TotalSweeps,
+						"path", p.CheckpointPath, "write_seconds", p.CheckpointSeconds)
 				}
 				if recorder == nil {
 					return nil
 				}
 				ev := obs.SweepEvent{
-					Time:              time.Now(),
-					Sweep:             sweepIdx,
-					TotalSweeps:       *iters,
-					Kernel:            kernel.String(),
-					CheckpointSeconds: ckSecs,
-					CheckpointPath:    ckPath,
+					Time:           time.Now(),
+					Sweep:          p.Sweep,
+					TotalSweeps:    p.TotalSweeps,
+					SweepSeconds:   p.SweepSeconds,
+					TokensPerSec:   p.TokensPerSec,
+					Kernel:         kernel,
+					CheckpointPath: p.CheckpointPath,
 				}
-				if n := len(cm.IterationTimes); n > 0 {
-					ev.SweepSeconds = cm.IterationTimes[n-1].Seconds()
-					if ev.SweepSeconds > 0 {
-						ev.TokensPerSec = float64(totalTokens) / ev.SweepSeconds
-					}
+				if !math.IsNaN(p.LogLikelihood) {
+					ev.LogLikelihood = &p.LogLikelihood
 				}
-				if n := len(cm.LikelihoodTrace); n > 0 {
-					ll := cm.LikelihoodTrace[n-1]
-					ev.LogLikelihood = &ll
+				if p.CheckpointPath != "" {
+					ev.CheckpointSeconds = &p.CheckpointSeconds
 				}
 				recorder.Record(ev)
 				return nil
 			}
 		}
-		if remaining := *iters - m.Sweeps(); remaining > 0 {
-			exitOn(m.RunWithHook(remaining, hook))
+		var m *sourcelda.Model
+		if *f.resume != "" {
+			logger.Info("resuming from checkpoint", "path", *f.resume, "total_sweeps", *iters)
+			m, err = sourcelda.Resume(*f.resume, fc, fk, opts)
+		} else {
+			m, err = sourcelda.Fit(fc, fk, opts)
 		}
+		exitOn(err)
 		// Telemetry write failures never abort training; report them here.
 		exitOn(recorder.Err())
-		res := m.Result()
+		res := m.Raw()
 		fmt.Printf("discovered labeled topics (≥%d docs):\n", *minDocs)
 		printTopics(c, res.Phi, res.Labels, res.TokenCounts, res.DocFrequencies, *minDocs, *topN)
 		if *saveTo != "" {
-			f, err := os.Create(*saveTo)
-			exitOn(err)
-			exitOn(persist.SaveResult(f, res))
-			exitOn(f.Close())
+			exitOn(persist.WriteFileAtomic(*saveTo, func(w io.Writer) error { return sourcelda.SaveModel(w, m) }))
 			fmt.Printf("\nsnapshot written to %s\n", *saveTo)
 		}
 		if *bundleTo != "" {
-			out, err := os.Create(*bundleTo)
-			exitOn(err)
-			meta := &persist.BundleMeta{
-				Name:        *f.bundleName,
-				Version:     *f.bundleVersion,
-				ChainDigest: fmt.Sprintf("%016x", opts.ChainDigest()),
-				TrainedAt:   time.Now().UTC().Truncate(time.Second),
-			}
+			save := sourcelda.SaveBundleNamed
 			if *f.bundleFormat == "flat" {
-				exitOn(persist.SaveBundleFlat(out, c.Vocab.Words(), src, res, meta))
-			} else {
-				exitOn(persist.SaveBundleMeta(out, c.Vocab.Words(), src, res, meta))
+				save = sourcelda.SaveBundleFlatNamed
 			}
-			exitOn(out.Close())
+			exitOn(persist.WriteFileAtomic(*bundleTo, func(w io.Writer) error {
+				return save(w, m, *f.bundleName, *f.bundleVersion)
+			}))
 			fmt.Printf("\nserving bundle written to %s (serve it: srcldad -bundle %s)\n", *bundleTo, *bundleTo)
 		}
 	case "lda":
@@ -451,84 +351,17 @@ func convertBundle(in, out, format string) error {
 	if _, err := src.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	dst, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	switch format {
-	case "flat":
-		err = persist.ConvertBundleToFlat(src, dst)
-	default: // json: decode + re-encode, normalizing a hand-edited bundle
-		var b *persist.Bundle
-		if b, err = persist.LoadBundle(src); err == nil {
-			err = persist.SaveBundleMeta(dst, b.Vocab.Words(), b.Source, b.Result, b.Meta)
+	return persist.WriteFileAtomic(out, func(dst io.Writer) error {
+		if format == "flat" {
+			return persist.ConvertBundleToFlat(src, dst)
 		}
-	}
-	if err != nil {
-		dst.Close()
-		os.Remove(out)
-		return err
-	}
-	return dst.Close()
-}
-
-// loadData reads the corpus and knowledge source from directories, or
-// builds the synthetic Reuters-like demo when paths are empty.
-func loadData(corpusDir, sourceDir string, seed int64) (*corpus.Corpus, *knowledge.Source, error) {
-	if corpusDir == "" && sourceDir == "" {
-		data, err := synth.ReutersLike(synth.ReutersOptions{
-			NumCategories: 30, LiveCategories: 12, NumDocs: 200, AvgDocLen: 60, Seed: seed,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return data.Corpus, data.Source, nil
-	}
-	if corpusDir == "" || sourceDir == "" {
-		return nil, nil, fmt.Errorf("-corpus and -source must be given together")
-	}
-	stop := textproc.DefaultStopwords()
-	c := corpus.New()
-	if err := eachTxt(corpusDir, func(name, text string) {
-		c.AddText(name, text, stop)
-	}); err != nil {
-		return nil, nil, err
-	}
-	var articles []*knowledge.Article
-	if err := eachTxt(sourceDir, func(name, text string) {
-		label := strings.TrimSuffix(name, filepath.Ext(name))
-		articles = append(articles, knowledge.NewArticleFromText(label, text, c.Vocab, stop, true))
-	}); err != nil {
-		return nil, nil, err
-	}
-	src, err := knowledge.NewSource(articles)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, src, nil
-}
-
-func eachTxt(dir string, fn func(name, text string)) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	found := false
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".txt") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		// json: decode + re-encode, normalizing a hand-edited bundle
+		b, err := persist.LoadBundle(src)
 		if err != nil {
 			return err
 		}
-		fn(e.Name(), string(data))
-		found = true
-	}
-	if !found {
-		return fmt.Errorf("no *.txt files in %s", dir)
-	}
-	return nil
+		return persist.SaveBundleMeta(dst, b.Vocab.Words(), b.Source, b.Result, b.Meta)
+	})
 }
 
 // printTopics renders topics sorted by token count; when minDocs > 0 only

@@ -34,18 +34,16 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
+	"sourcelda"
+	"sourcelda/cmd/internal/traincli"
 	"sourcelda/internal/corpus"
 	"sourcelda/internal/dtrain"
 	"sourcelda/internal/knowledge"
 	"sourcelda/internal/obs"
 	"sourcelda/internal/persist"
-	"sourcelda/internal/synth"
-	"sourcelda/internal/textproc"
 )
 
 // cliFlags holds every srcldactl flag, defined through defineFlags on an
@@ -68,7 +66,6 @@ type cliFlags struct {
 	sigma   *float64
 	lambda  *float64
 	sampler *string
-	sweep   *string
 	shards  *int
 	threads *int
 	// Coordinator: fault detectors and outputs.
@@ -104,10 +101,9 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		mu:           fs.Float64("mu", 0.7, "coordinator: mean of the N(µ,σ) prior over the λ divergence exponent (default 0.7)"),
 		sigma:        fs.Float64("sigma", 0.3, "coordinator: std dev of the λ prior, must be >= 0 (default 0.3)"),
 		lambda:       fs.Float64("lambda", -1, "coordinator: fixed λ exponent in [0,1]; -1 integrates λ out by quadrature (default -1)"),
-		sampler:      fs.String("sampler", "serial", "coordinator: per-token sampling kernel every worker uses: serial or sparse (default serial)"),
-		sweep:        fs.String("sweepmode", "sequential", "coordinator: in-worker sweep traversal: sequential or sharded-docs (default sequential)"),
-		shards:       fs.Int("shards", 0, "coordinator: in-worker document shards for sharded-docs sweeps (0 means one per thread) (default 0)"),
-		threads:      fs.Int("threads", 1, "coordinator: in-worker threads sweeping document shards under -sweepmode sharded-docs; a resource bound that never changes the chain (default 1)"),
+		sampler:      fs.String("sampler", "serial", "coordinator: per-token sampling kernel every worker uses: auto, serial, or sparse, as in srclda; auto is the dense serial scan (default serial)"),
+		shards:       fs.Int("shards", 0, "coordinator: document shards each worker sweeps concurrently inside its partition; the count shapes the chain; 0 sweeps each partition sequentially (default 0)"),
+		threads:      fs.Int("threads", 1, "coordinator: in-worker threads sweeping the -shards document shards; a resource bound that never changes the chain, ignored without -shards (default 1)"),
 		ioTimeout:    fs.Duration("io-timeout", 30*time.Second, "coordinator: bound on each control-frame read/write — handshakes and count broadcasts (default 30s)"),
 		epochTimeout: fs.Duration("epoch-timeout", 5*time.Minute, "coordinator: how long to wait for one shard's epoch delta before declaring the worker hung and reassigning its shard (default 5m)"),
 		joinTimeout:  fs.Duration("join-timeout", 5*time.Minute, "coordinator: how long to wait for a worker to connect when a shard needs one (default 5m)"),
@@ -133,22 +129,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "srcldactl:", err)
 		os.Exit(2)
 	}
-	if *f.debugAddr != "" {
-		dbgSrv := &http.Server{
-			Addr:              *f.debugAddr,
-			Handler:           obs.NewDebugMux(func(w io.Writer) { obs.WriteRuntimeMetrics(w, "srcldactl", -1) }),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			logger.Info("debug listener", "addr", *f.debugAddr)
-			if err := dbgSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("debug listener failed", "addr", *f.debugAddr, "error", err)
-			}
-		}()
-		defer dbgSrv.Close()
-	}
+	defer obs.ServeDebug(*f.debugAddr, logger, func(w io.Writer) { obs.WriteRuntimeMetrics(w, "srcldactl", -1) })()
 
-	c, src, err := loadData(*f.corpusDir, *f.sourceDir, *f.seed)
+	c, src, err := traincli.LoadData(*f.corpusDir, *f.sourceDir, *f.seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
@@ -173,32 +156,43 @@ func main() {
 }
 
 // specFromFlags builds the chain configuration the coordinator ships to
-// every worker. Alpha and Beta use srclda's data-derived formulas
-// (50/T, 200/V), so a 1-worker srcldactl chain is the exact chain
-// srclda would train — and the saved checkpoint resumes there.
-func specFromFlags(f *cliFlags, c *corpus.Corpus, src *knowledge.Source) dtrain.ChainSpec {
-	spec := dtrain.ChainSpec{
-		NumFreeTopics: *f.freeT,
-		Alpha:         50.0 / float64(*f.freeT+src.Len()),
-		Beta:          200.0 / float64(c.VocabSize()),
-		Mu:            *f.mu,
-		Sigma:         *f.sigma,
-		LambdaMode:    "integrated",
-		UseSmoothing:  true,
-		Sampler:       *f.sampler,
-		SweepMode:     *f.sweep,
-		Shards:        *f.shards,
+// every worker: the chain flags go through the mapping srclda trains under
+// (traincli.ChainOptions, sourcelda.CoreOptions) and the spec is its result
+// spelt for the wire, so a 1-worker chain is the one srclda would train and
+// the saved checkpoint resumes there under the same flags (TestSpecFromFlags
+// holds the spec's digest to the mapping's). Threads, a per-worker resource
+// bound no digest hashes, is the flag as given.
+func specFromFlags(f *cliFlags, c *corpus.Corpus, src *knowledge.Source) (dtrain.ChainSpec, error) {
+	opts, err := traincli.ChainOptions(*f.freeT, *f.lambda, *f.mu, *f.sigma, *f.sampler, *f.shards, *f.threads, *f.seed)
+	if err != nil {
+		return dtrain.ChainSpec{}, err
+	}
+	o, err := sourcelda.CoreOptions(sourcelda.WrapCorpus(c), sourcelda.WrapKnowledgeSource(src), opts)
+	if err != nil {
+		return dtrain.ChainSpec{}, err
+	}
+	return dtrain.ChainSpec{
+		NumFreeTopics: o.NumFreeTopics,
+		Alpha:         o.Alpha,
+		Beta:          o.Beta,
+		LambdaMode:    o.LambdaMode.String(),
+		Lambda:        o.Lambda,
+		Mu:            o.Mu,
+		Sigma:         o.Sigma,
+		UseSmoothing:  o.UseSmoothing,
+		Sampler:       o.Sampler.String(),
+		SweepMode:     o.SweepMode.String(),
+		Shards:        o.Shards,
 		Threads:       *f.threads,
-		Seed:          *f.seed,
-	}
-	if *f.lambda >= 0 {
-		spec.LambdaMode = "fixed"
-		spec.Lambda = *f.lambda
-	}
-	return spec
+		Seed:          o.Seed,
+	}, nil
 }
 
 func runCoordinator(ctx context.Context, f *cliFlags, c *corpus.Corpus, src *knowledge.Source, log *slog.Logger) error {
+	spec, err := specFromFlags(f, c, src)
+	if err != nil {
+		return err
+	}
 	var events io.Writer
 	if *f.telemetryLog != "" {
 		file, err := os.OpenFile(*f.telemetryLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -229,7 +223,7 @@ func runCoordinator(ctx context.Context, f *cliFlags, c *corpus.Corpus, src *kno
 	res, err := dtrain.RunCoordinator(ctx, ln, dtrain.CoordinatorConfig{
 		Corpus:       c,
 		Source:       src,
-		Spec:         specFromFlags(f, c, src),
+		Spec:         spec,
 		Workers:      *f.workers,
 		Epochs:       *f.epochs,
 		Staleness:    *f.staleness,
@@ -249,11 +243,9 @@ func runCoordinator(ctx context.Context, f *cliFlags, c *corpus.Corpus, src *kno
 	fmt.Printf("trained %d sweeps over %d docs with %d workers (staleness %d); model digest %#x\n",
 		res.Checkpoint.Sweep, c.NumDocs(), *f.workers, max(1, *f.staleness), res.Digest)
 	if *f.saveCkpt != "" {
-		blob, err := persist.EncodeCheckpoint(res.Checkpoint)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*f.saveCkpt, blob, 0o644); err != nil {
+		if err := persist.WriteFileAtomic(*f.saveCkpt, func(w io.Writer) error {
+			return persist.SaveCheckpoint(w, res.Checkpoint)
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("assembled chain checkpoint written to %s\n", *f.saveCkpt)
@@ -279,65 +271,4 @@ func runWorker(ctx context.Context, f *cliFlags, c *corpus.Corpus, src *knowledg
 		ID:             id,
 		Logger:         log,
 	})
-}
-
-// loadData mirrors srclda's corpus loading: directories of *.txt files, or
-// the built-in synthetic demo so the command runs out of the box. Both
-// roles must load identical data; the join handshake verifies this by
-// corpus digest.
-func loadData(corpusDir, sourceDir string, seed int64) (*corpus.Corpus, *knowledge.Source, error) {
-	if corpusDir == "" && sourceDir == "" {
-		data, err := synth.ReutersLike(synth.ReutersOptions{
-			NumCategories: 30, LiveCategories: 12, NumDocs: 200, AvgDocLen: 60, Seed: seed,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return data.Corpus, data.Source, nil
-	}
-	if corpusDir == "" || sourceDir == "" {
-		return nil, nil, fmt.Errorf("-corpus and -source must be given together")
-	}
-	stop := textproc.DefaultStopwords()
-	c := corpus.New()
-	if err := eachTxt(corpusDir, func(name, text string) {
-		c.AddText(name, text, stop)
-	}); err != nil {
-		return nil, nil, err
-	}
-	var articles []*knowledge.Article
-	if err := eachTxt(sourceDir, func(name, text string) {
-		label := strings.TrimSuffix(name, filepath.Ext(name))
-		articles = append(articles, knowledge.NewArticleFromText(label, text, c.Vocab, stop, true))
-	}); err != nil {
-		return nil, nil, err
-	}
-	src, err := knowledge.NewSource(articles)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, src, nil
-}
-
-func eachTxt(dir string, fn func(name, text string)) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	found := false
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".txt") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return err
-		}
-		fn(e.Name(), string(data))
-		found = true
-	}
-	if !found {
-		return fmt.Errorf("no *.txt files under %s", dir)
-	}
-	return nil
 }

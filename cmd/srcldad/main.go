@@ -245,23 +245,13 @@ func main() {
 	// The opt-in debug listener exposes pprof and process runtime gauges
 	// (including the mapped-bundle footprint) on a separate address, so the
 	// profiling surface never shares a port with production traffic.
-	if *f.debugAddr != "" {
-		debugMux := obs.NewDebugMux(func(w io.Writer) {
-			var mapped int64
-			for _, mi := range reg.ListInfo() {
-				mapped += mi.MappedBytes
-			}
-			obs.WriteRuntimeMetrics(w, "srcldad", mapped)
-		})
-		debugSrv := &http.Server{Addr: *f.debugAddr, Handler: debugMux, ReadHeaderTimeout: 5 * time.Second}
-		go func() {
-			logger.Info("debug listener", "addr", *f.debugAddr)
-			if err := debugSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("debug listener failed", "addr", *f.debugAddr, "error", err)
-			}
-		}()
-		defer debugSrv.Close()
-	}
+	defer obs.ServeDebug(*f.debugAddr, logger, func(w io.Writer) {
+		var mapped int64
+		for _, mi := range reg.ListInfo() {
+			mapped += mi.MappedBytes
+		}
+		obs.WriteRuntimeMetrics(w, "srcldad", mapped)
+	})()
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

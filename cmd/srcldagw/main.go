@@ -167,19 +167,7 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("gateway serving", "addr", *f.addr, "backends", len(specs), "default_model", *f.defaultModel)
 
-	if *f.debugAddr != "" {
-		debugMux := obs.NewDebugMux(func(w io.Writer) {
-			obs.WriteRuntimeMetrics(w, "srcldagw", 0)
-		})
-		debugSrv := &http.Server{Addr: *f.debugAddr, Handler: debugMux, ReadHeaderTimeout: 5 * time.Second}
-		go func() {
-			logger.Info("debug listener", "addr", *f.debugAddr)
-			if err := debugSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("debug listener failed", "addr", *f.debugAddr, "error", err)
-			}
-		}()
-		defer debugSrv.Close()
-	}
+	defer obs.ServeDebug(*f.debugAddr, logger, func(w io.Writer) { obs.WriteRuntimeMetrics(w, "srcldagw", 0) })()
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"sourcelda"
+	"sourcelda/internal/persist"
 	"sourcelda/internal/registry"
 )
 
@@ -239,19 +240,9 @@ func train(seed int64, freeTopics int) (*sourcelda.Model, error) {
 
 // writeBundle writes a named bundle atomically into the watched directory.
 func writeBundle(path string, m *sourcelda.Model, name, version string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := sourcelda.SaveBundleNamed(f, m, name, version); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return persist.WriteFileAtomic(path, func(w io.Writer) error {
+		return sourcelda.SaveBundleNamed(w, m, name, version)
+	})
 }
 
 // infer POSTs one document and returns the raw response body.

@@ -233,9 +233,10 @@ type Options struct {
 // over docs documents given a requested shard count: one worker per shard,
 // capped at the document count (shards beyond it never sample) and the CPU
 // count (extra workers only add scheduling overhead). A non-positive shard
-// request means "as many as useful". The sourcelda façade and the srclda
-// CLI both derive their defaults from this so the two entry points never
-// diverge.
+// request means "as many as useful". The result depends on the machine, so
+// it may only ever feed Options.Threads — which no digest hashes — never
+// Options.Shards; sourcelda.CoreOptions, the one mapping every entry point
+// shares, uses it that way.
 func DefaultShardWorkers(shards, docs int) int {
 	if shards <= 0 || shards > docs {
 		shards = docs

@@ -22,7 +22,7 @@
 //   - TrainingRecorder emits one structured JSONL event per Gibbs sweep
 //     (log-likelihood, tokens/sec, sweep wall time, checkpoint latency)
 //     and doubles as a live Prometheus endpoint for long training chains.
-//   - NewDebugMux and WriteRuntimeMetrics expose net/http/pprof and
-//     runtime gauges (goroutines, heap, mapped-bundle bytes) on an opt-in
-//     debug listener.
+//   - ServeDebug starts the opt-in -debug-addr listener every command
+//     shares: NewDebugMux's net/http/pprof handlers plus the
+//     WriteRuntimeMetrics gauges (goroutines, heap, mapped-bundle bytes).
 package obs

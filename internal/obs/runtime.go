@@ -3,9 +3,11 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"time"
 )
 
 // WriteRuntimeMetrics renders process runtime gauges in Prometheus
@@ -56,4 +58,22 @@ func NewDebugMux(runtimeMetrics func(io.Writer)) *http.ServeMux {
 		}
 	})
 	return mux
+}
+
+// ServeDebug starts the opt-in -debug-addr listener every command shares —
+// NewDebugMux(runtimeMetrics) on addr, failures logged rather than fatal, so
+// profiling a running process never touches its output — and returns the
+// function that closes it. An empty addr starts nothing.
+func ServeDebug(addr string, logger *slog.Logger, runtimeMetrics func(io.Writer)) (stop func()) {
+	if addr == "" {
+		return func() {}
+	}
+	srv := &http.Server{Addr: addr, Handler: NewDebugMux(runtimeMetrics), ReadHeaderTimeout: 5 * time.Second}
+	go func() {
+		logger.Info("debug listener", "addr", addr)
+		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			logger.Error("debug listener failed", "addr", addr, "error", err)
+		}
+	}()
+	return func() { srv.Close() }
 }

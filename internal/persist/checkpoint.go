@@ -272,10 +272,9 @@ func checkpointSweep(name string) int {
 
 // CheckpointWriter persists a training run's periodic checkpoints into a
 // directory with crash-safe writes and bounded retention. Each Write lands
-// as checkpoint-<sweep>.ckpt via a temp file in the same directory, an
-// fsync, and an atomic rename — a crash mid-write can leave a stray temp
-// file but never a half-written checkpoint under the final name — and then
-// prunes all but the newest retain checkpoints.
+// as checkpoint-<sweep>.ckpt through WriteFileAtomic — a crash mid-write can
+// leave a stray temp file but never a half-written checkpoint under the
+// final name — and then prunes all but the newest retain checkpoints.
 type CheckpointWriter struct {
 	dir    string
 	retain int
@@ -309,30 +308,8 @@ func (cw *CheckpointWriter) Write(ck *core.Checkpoint) (string, error) {
 		return "", fmt.Errorf("persist: nil checkpoint")
 	}
 	final := filepath.Join(cw.dir, checkpointFileName(ck.Sweep))
-	tmp, err := os.CreateTemp(cw.dir, ".tmp-checkpoint-*")
-	if err != nil {
-		return "", fmt.Errorf("persist: create checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if err := SaveCheckpoint(tmp, ck); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if err := WriteFileAtomic(final, func(w io.Writer) error { return SaveCheckpoint(w, ck) }); err != nil {
 		return "", err
-	}
-	// The data must be on disk before the rename makes it visible under the
-	// final name, or a crash could expose an empty-but-well-named file.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return "", fmt.Errorf("persist: sync checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return "", fmt.Errorf("persist: close checkpoint temp file: %w", err)
-	}
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
-		return "", fmt.Errorf("persist: publish checkpoint: %w", err)
 	}
 	cw.prune()
 	return final, nil

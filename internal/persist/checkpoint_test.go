@@ -139,7 +139,7 @@ func TestCheckpointWriterRetention(t *testing.T) {
 	if err := os.WriteFile(foreign, []byte("keep me"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stray := filepath.Join(dir, ".tmp-checkpoint-stray")
+	stray := filepath.Join(dir, "."+checkpointFileName(10)+".tmp-stray")
 	if err := os.WriteFile(stray, []byte("torn write"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,14 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"sourcelda"
 	"sourcelda/internal/obs"
+	"sourcelda/internal/persist"
 )
 
 // ErrNoLearner means the model exists (or could exist) but has no learning
@@ -360,8 +361,8 @@ func (l *learner) apply(batch []string) {
 }
 
 // republish snapshots the chain and writes it as a flat bundle into the
-// models directory — temp file then rename, so the watcher only ever sees
-// complete bundles and the swap costs the serving path nothing.
+// models directory atomically, so the watcher only ever sees complete
+// bundles and the swap costs the serving path nothing.
 func (l *learner) republish() error {
 	m, err := l.rt.Snapshot()
 	if err != nil {
@@ -370,24 +371,10 @@ func (l *learner) republish() error {
 	l.smu.Lock()
 	version := fmt.Sprintf("feed-%d", l.docs)
 	l.smu.Unlock()
-	tmp, err := os.CreateTemp(l.cfg.ModelsDir, ".feed-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := sourcelda.SaveBundleFlatNamed(tmp, m, l.name, version); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
 	dst := filepath.Join(l.cfg.ModelsDir, l.name+BundleExt)
-	if err := os.Rename(tmp.Name(), dst); err != nil {
+	if err := persist.WriteFileAtomic(dst, func(w io.Writer) error {
+		return sourcelda.SaveBundleFlatNamed(w, m, l.name, version)
+	}); err != nil {
 		return err
 	}
 	l.smu.Lock()

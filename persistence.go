@@ -106,13 +106,18 @@ func SaveBundleNamed(w io.Writer, m *Model, name, version string) error {
 	if m.source == nil || m.res.Phi == nil {
 		return errors.New("sourcelda: model was loaded from a flat bundle, which does not carry the knowledge source or training mixtures; keep the original JSON bundle (or the flat file itself) instead")
 	}
-	meta := &persist.BundleMeta{
+	return persist.SaveBundleMeta(w, m.vocab.Words(), m.source, m.res, m.bundleMeta(name, version))
+}
+
+// bundleMeta is the provenance a saved bundle embeds: the given registry
+// identity plus the chain digest and training time Fit or Resume stamped.
+func (m *Model) bundleMeta(name, version string) *persist.BundleMeta {
+	return &persist.BundleMeta{
 		Name:        name,
 		Version:     version,
 		ChainDigest: m.info.ChainDigest,
 		TrainedAt:   m.info.TrainedAt,
 	}
-	return persist.SaveBundleMeta(w, m.vocab.Words(), m.source, m.res, meta)
 }
 
 // SaveBundleFlat writes the model in the flat, memory-mappable serving
@@ -139,13 +144,7 @@ func SaveBundleFlatNamed(w io.Writer, m *Model, name, version string) error {
 	if m.source == nil || m.res.Phi == nil {
 		return errors.New("sourcelda: model was loaded from a flat bundle; it is already in the flat format")
 	}
-	meta := &persist.BundleMeta{
-		Name:        name,
-		Version:     version,
-		ChainDigest: m.info.ChainDigest,
-		TrainedAt:   m.info.TrainedAt,
-	}
-	return persist.SaveBundleFlat(w, m.vocab.Words(), m.source, m.res, meta)
+	return persist.SaveBundleFlat(w, m.vocab.Words(), m.source, m.res, m.bundleMeta(name, version))
 }
 
 // LoadBundle reads a bundle written by SaveBundle (gzip JSON, plain JSON, or
@@ -262,20 +261,12 @@ type TuningResult struct {
 // procedure the paper uses to set µ = 0.7, σ = 0.3 for its Reuters
 // experiment. Pass zero-length slices to use the default grid.
 func SelectLambdaPrior(c *Corpus, k *KnowledgeSource, opts Options, mus, sigmas []float64) (*TuningResult, error) {
-	if c == nil || k == nil {
-		return nil, errors.New("sourcelda: nil corpus or knowledge source")
-	}
-	base := core.Options{
-		NumFreeTopics: opts.FreeTopics,
-		Alpha:         opts.Alpha,
-		Beta:          opts.Beta,
-		UseSmoothing:  true,
-	}
-	if base.Alpha == 0 {
-		base.Alpha = 50.0 / float64(opts.FreeTopics+k.s.Len())
-	}
-	if base.Beta == 0 {
-		base.Beta = 200.0 / float64(c.c.VocabSize())
+	// The grid supplies (µ, σ); everything else — priors, kernel, sweep mode,
+	// smoothing on — is what Fit would train under the same options.
+	opts.Lambda = nil
+	base, err := CoreOptions(c, k, opts)
+	if err != nil {
+		return nil, err
 	}
 	sel, err := core.SelectParameters(c.c, k.s, base, core.ParameterGrid{
 		Mus:    mus,

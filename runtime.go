@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"sourcelda/internal/core"
@@ -62,17 +61,8 @@ func FitRuntime(c *Corpus, k *KnowledgeSource, opts Options) (*Runtime, error) {
 		Docs:  append([]*corpus.Document(nil), c.c.Docs...),
 		Vocab: c.c.Vocab,
 	}
-	pc := &Corpus{c: private}
-	coreOpts, err := coreOptions(pc, k, opts)
+	m, coreOpts, err := train(&Corpus{c: private}, k, opts, nil)
 	if err != nil {
-		return nil, err
-	}
-	m, err := core.NewModel(private, k.s, coreOpts)
-	if err != nil {
-		return nil, err
-	}
-	if err := runTraining(m, pc, opts, coreOpts.Iterations); err != nil {
-		m.Close()
 		return nil, err
 	}
 	return &Runtime{
@@ -390,27 +380,9 @@ func (rt *Runtime) SaveChain(w io.Writer) error {
 	return gz.Close()
 }
 
-// SaveChainFile writes a chain archive atomically: to a temp file in the
-// destination directory, then renamed into place.
+// SaveChainFile writes a chain archive atomically (persist.WriteFileAtomic).
 func (rt *Runtime) SaveChainFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".chain-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := rt.SaveChain(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return persist.WriteFileAtomic(path, rt.SaveChain)
 }
 
 // LoadChainRuntime reconstructs a warm runtime from a SaveChain archive.
@@ -458,7 +430,7 @@ func LoadChainRuntime(r io.Reader) (*Runtime, error) {
 		return nil, err
 	}
 	opts := header.Options.facade()
-	coreOpts, err := coreOptions(&Corpus{c: c}, &KnowledgeSource{s: src}, opts)
+	coreOpts, err := CoreOptions(&Corpus{c: c}, &KnowledgeSource{s: src}, opts)
 	if err != nil {
 		return nil, fmt.Errorf("sourcelda: chain archive options: %w", err)
 	}

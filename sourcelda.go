@@ -179,7 +179,9 @@ type Options struct {
 	// 200/V per the paper's experiments when left zero).
 	Alpha, Beta float64
 	// Lambda configures the λ prior. The zero value uses the paper's full
-	// model with µ = 0.7, σ = 0.3 and g-smoothing enabled.
+	// model with µ = 0.7, σ = 0.3 and g-smoothing enabled. A Fixed prior is
+	// the raw exponent δ^λ — no smoothing, µ and σ unused — which is also
+	// what srclda / srcldactl -lambda X train.
 	Lambda *LambdaPrior
 	// Iterations is the number of Gibbs sweeps (default 1000).
 	Iterations int
@@ -440,12 +442,20 @@ func (t Topic) Probability(word string) float64 {
 	return t.phi[id]
 }
 
-// coreOptions translates facade options into the internal chain options —
-// one mapping shared by Fit, Resume, FitRuntime and LoadChainRuntime, so a
-// resumed run can never rebuild the chain under a different configuration
-// than the one that started it. It fails on a Sampler value that names no
+// CoreOptions translates façade options into the internal chain options. It
+// is the only mapping — every façade entry point calls it, cmd/srclda trains
+// through Fit/Resume and cmd/srcldactl derives its dtrain.ChainSpec from the
+// result — so the paper's defaults (α = 50/T, β = 200/V, λ ~ N(0.7, 0.3) under
+// g-smoothing), a fixed λ as the raw exponent δ^λ, "Shards > 0 ⇒ sharded
+// sweep" and "auto ≡ serial" are stated here and nowhere else, and a resumed
+// run can never rebuild its chain under another configuration. The shard
+// count is the caller's number: the CPU-capped DefaultShardWorkers only feeds
+// Threads, which no digest hashes. It fails on a Sampler value that names no
 // kernel this build carries.
-func coreOptions(c *Corpus, k *KnowledgeSource, opts Options) (core.Options, error) {
+func CoreOptions(c *Corpus, k *KnowledgeSource, opts Options) (core.Options, error) {
+	if c == nil || k == nil {
+		return core.Options{}, errors.New("sourcelda: nil corpus or knowledge source")
+	}
 	T := opts.FreeTopics + k.s.Len()
 	coreOpts := core.Options{
 		NumFreeTopics:   opts.FreeTopics,
@@ -464,16 +474,16 @@ func coreOptions(c *Corpus, k *KnowledgeSource, opts Options) (core.Options, err
 	if coreOpts.Iterations <= 0 {
 		coreOpts.Iterations = 1000
 	}
-	if opts.Lambda == nil {
-		coreOpts.LambdaMode = core.LambdaIntegrated
-		coreOpts.Mu, coreOpts.Sigma = 0.7, 0.3
-		coreOpts.UseSmoothing = true
-	} else if opts.Lambda.Fixed {
+	prior := LambdaPrior{Mu: 0.7, Sigma: 0.3}
+	if opts.Lambda != nil {
+		prior = *opts.Lambda
+	}
+	if prior.Fixed {
 		coreOpts.LambdaMode = core.LambdaFixed
-		coreOpts.Lambda = opts.Lambda.Lambda
+		coreOpts.Lambda = prior.Lambda
 	} else {
 		coreOpts.LambdaMode = core.LambdaIntegrated
-		coreOpts.Mu, coreOpts.Sigma = opts.Lambda.Mu, opts.Lambda.Sigma
+		coreOpts.Mu, coreOpts.Sigma = prior.Mu, prior.Sigma
 		coreOpts.UseSmoothing = true
 	}
 	if opts.Shards > 0 {
@@ -502,22 +512,36 @@ func coreOptions(c *Corpus, k *KnowledgeSource, opts Options) (core.Options, err
 
 // Fit trains Source-LDA on the corpus with the knowledge source.
 func Fit(c *Corpus, k *KnowledgeSource, opts Options) (*Model, error) {
-	if c == nil || k == nil {
-		return nil, errors.New("sourcelda: nil corpus or knowledge source")
-	}
-	coreOpts, err := coreOptions(c, k, opts)
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.NewModel(c.c, k.s, coreOpts)
+	m, coreOpts, err := train(c, k, opts, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer m.Close()
-	if err := runTraining(m, c, opts, coreOpts.Iterations); err != nil {
-		return nil, err
-	}
 	return &Model{res: m.Result(), vocab: c.c.Vocab, source: k.s, info: trainedInfo(coreOpts)}, nil
+}
+
+// train is the path every training entry point takes: map the options once,
+// build the chain — or restore it from ck — and run it to its sweep target.
+// The caller owns (and closes) the returned chain.
+func train(c *Corpus, k *KnowledgeSource, opts Options, ck *core.Checkpoint) (*core.Model, core.Options, error) {
+	coreOpts, err := CoreOptions(c, k, opts)
+	if err != nil {
+		return nil, core.Options{}, err
+	}
+	var m *core.Model
+	if ck != nil {
+		m, err = core.Restore(c.c, k.s, coreOpts, ck)
+	} else {
+		m, err = core.NewModel(c.c, k.s, coreOpts)
+	}
+	if err != nil {
+		return nil, core.Options{}, err
+	}
+	if err := runTraining(m, c, opts, coreOpts.Iterations); err != nil {
+		m.Close()
+		return nil, core.Options{}, err
+	}
+	return m, coreOpts, nil
 }
 
 // trainedInfo stamps a freshly trained model's provenance: the chain-options
@@ -544,25 +568,15 @@ func trainedInfo(coreOpts core.Options) BundleInfo {
 // change the chain (seed, priors, λ treatment, sweep mode, shard count)
 // fails with a descriptive error.
 func Resume(path string, c *Corpus, k *KnowledgeSource, opts Options) (*Model, error) {
-	if c == nil || k == nil {
-		return nil, errors.New("sourcelda: nil corpus or knowledge source")
-	}
 	ck, err := persist.LoadCheckpointFile(path)
 	if err != nil {
 		return nil, err
 	}
-	coreOpts, err := coreOptions(c, k, opts)
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.Restore(c.c, k.s, coreOpts, ck)
+	m, coreOpts, err := train(c, k, opts, ck)
 	if err != nil {
 		return nil, err
 	}
 	defer m.Close()
-	if err := runTraining(m, c, opts, coreOpts.Iterations); err != nil {
-		return nil, err
-	}
 	return &Model{res: m.Result(), vocab: c.c.Vocab, source: k.s, info: trainedInfo(coreOpts)}, nil
 }
 
@@ -587,10 +601,6 @@ func runTraining(m *core.Model, c *Corpus, opts Options, totalSweeps int) error 
 		if err != nil {
 			return err
 		}
-	}
-	if ckw == nil && opts.Progress == nil {
-		m.Run(remaining)
-		return nil
 	}
 	totalTokens := c.c.TotalTokens()
 	err := m.RunWithHook(remaining, func(sweep int, cm *core.Model) error {

@@ -1,8 +1,11 @@
 package sourcelda
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+
+	"sourcelda/internal/core"
 )
 
 func buildFixture(t *testing.T) (*Corpus, *KnowledgeSource) {
@@ -352,5 +355,45 @@ func TestWrapHelpers(t *testing.T) {
 	}
 	if WrapKnowledgeSource(k.Internal()).NumArticles() != k.NumArticles() {
 		t.Fatal("WrapKnowledgeSource round trip failed")
+	}
+}
+
+// TestCoreOptionsIsAFunctionOfTheOptions: the mapping every entry point
+// shares. The shard count is the caller's number — never the thread bound,
+// never the machine's CPU count — so the digest a checkpoint embeds is the
+// same on any box; Threads alone absorbs core.DefaultShardWorkers. A fixed λ
+// is the raw exponent: no smoothing, no (µ, σ) in the digest.
+func TestCoreOptionsIsAFunctionOfTheOptions(t *testing.T) {
+	c, k := buildFixture(t)
+	var digests []uint64
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, threads := range []int{0, 1, 4} {
+			o, err := CoreOptions(c, k, Options{FreeTopics: 1, Seed: 9, Shards: 3, Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.SweepMode != core.SweepShardedDocs || o.Shards != 3 || o.Threads < 1 || (threads > 0 && o.Threads != threads) {
+				t.Errorf("GOMAXPROCS %d Threads %d: mapped to mode %v, %d shards, %d threads", procs, threads, o.SweepMode, o.Shards, o.Threads)
+			}
+			digests = append(digests, o.ChainDigest())
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+	for _, d := range digests[1:] {
+		if d != digests[0] {
+			t.Fatalf("chain digest moved with Threads or GOMAXPROCS: %x", digests)
+		}
+	}
+	if o, _ := CoreOptions(c, k, Options{FreeTopics: 1, Threads: 8}); o.SweepMode != core.SweepSequential || o.Shards != 0 {
+		t.Errorf("Threads without Shards mapped to mode %v, %d shards; only Shards > 0 shards the sweep", o.SweepMode, o.Shards)
+	}
+
+	fixed, err := CoreOptions(c, k, Options{FreeTopics: 1, Lambda: &LambdaPrior{Fixed: true, Lambda: 0.5, Mu: 0.7, Sigma: 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixed.LambdaMode != core.LambdaFixed || fixed.Lambda != 0.5 || fixed.UseSmoothing || fixed.Mu != 0 || fixed.Sigma != 0 {
+		t.Errorf("fixed λ mapped to %+v; want the raw exponent, no smoothing, µ = σ = 0", fixed)
 	}
 }
