@@ -30,10 +30,11 @@
 //
 // Incoming text is tokenized server-side against each model's training
 // vocabulary; unseen documents are scored by fold-in collapsed Gibbs with
-// the trained topic-word statistics locked. Concurrent requests are
-// micro-batched onto per-model bounded worker pools; because each document
-// draws from a deterministic RNG stream keyed by (seed, content), batching
-// and swapping never change a response.
+// the trained topic-word statistics locked. Each request's documents are
+// scored on the goroutine that received it, a multi-document request spread
+// over the model's bounded worker pool; because each document draws from a
+// deterministic RNG stream keyed by (seed, content), concurrency and
+// swapping never change a response.
 //
 //	srclda -save-bundle model.bundle
 //	srcldad -bundle model.bundle -addr :8080 &
@@ -83,8 +84,6 @@ type cliFlags struct {
 	maxBody        *int64
 	adminMaxBody   *int64
 	queueSize      *int
-	batchWindow    *time.Duration
-	maxBatch       *int
 	logFormat      *string
 	logLevel       *string
 	slowRequest    *time.Duration
@@ -103,7 +102,7 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		republishEvery: fs.Int("republish-every", 64, "fed documents between republishes of the learning model (each republish hot-swaps the served build)"),
 		compactAfter:   fs.Int("compact-after", 0, "fed documents between compaction retrains of the learning chain (default 0: compaction disabled)"),
 		addr:           fs.String("addr", ":8080", "listen address"),
-		workers:        fs.Int("workers", 0, "worker goroutines per model's inference batch (0 = GOMAXPROCS)"),
+		workers:        fs.Int("workers", 0, "worker goroutines a model spreads one multi-document request over (0 = GOMAXPROCS)"),
 		burnIn:         fs.Int("burnin", 20, "fold-in Gibbs burn-in sweeps per document"),
 		samples:        fs.Int("samples", 10, "post-burn-in sweeps averaged into each mixture"),
 		seed:           fs.Int64("seed", 42, "inference seed (responses are deterministic given model, seed and text)"),
@@ -111,9 +110,7 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		maxDocs:        fs.Int("max-docs", 64, "maximum documents per request"),
 		maxBody:        fs.Int64("max-body", 1<<20, "maximum inference request body bytes"),
 		adminMaxBody:   fs.Int64("admin-max-body", 256<<20, "maximum uploaded bundle bytes on PUT /v1/models/{name}"),
-		queueSize:      fs.Int("queue", 256, "per-model pending-document queue bound (full queue sheds load with 503)"),
-		batchWindow:    fs.Duration("batch-window", 2*time.Millisecond, "how long to coalesce concurrent documents into one batch"),
-		maxBatch:       fs.Int("max-batch", 32, "maximum coalesced batch size"),
+		queueSize:      fs.Int("queue", 256, "per-model bound on in-flight documents, admitted and not yet answered (a request that would exceed it is shed whole with 503)"),
 		logFormat:      fs.String("log-format", "text", "log output format: \"text\" (key=value lines) or \"json\" (one object per line, for log shippers)"),
 		logLevel:       fs.String("log-level", "info", "minimum log level: debug, info, warn or error (per-request access logs are info)"),
 		slowRequest:    fs.Duration("slow-request", time.Second, "log a warning with the per-stage latency breakdown for requests slower than this (negative disables)"),
@@ -175,8 +172,6 @@ func main() {
 		MaxBody:      *f.maxBody,
 		AdminMaxBody: *f.adminMaxBody,
 		QueueSize:    *f.queueSize,
-		BatchWindow:  *f.batchWindow,
-		MaxBatch:     *f.maxBatch,
 		DefaultModel: *f.defaultModel,
 		Logger:       logger,
 		SlowRequest:  *f.slowRequest,
@@ -267,7 +262,7 @@ func main() {
 		logger.Error("shutdown failed", "error", err)
 	}
 	// The registry is closed only after Shutdown has drained in-flight
-	// handlers, so no request waits on a dispatcher that has stopped.
+	// handlers, so no request finds its model unloaded under it.
 	stopWatch()
 	reg.Close()
 }

@@ -60,10 +60,7 @@ func run(out string, iters, batches int, threshold float64) error {
 		return err
 	}
 	newServer := func(disableTracing bool) (*registry.Server, *registry.Registry, error) {
-		reg := registry.New(registry.Config{
-			DisableTracing: disableTracing,
-			BatchWindow:    0, // measure request cost, not the coalescing idle-wait
-		})
+		reg := registry.New(registry.Config{DisableTracing: disableTracing})
 		m, err := clone(model)
 		if err != nil {
 			reg.Close()

@@ -81,7 +81,6 @@ func run() error {
 	reg := registry.New(registry.Config{
 		Infer:        sourcelda.InferOptions{Seed: 42},
 		DefaultModel: "tagger",
-		BatchWindow:  time.Millisecond,
 		Logger:       slog.New(slog.NewTextHandler(os.Stdout, nil)),
 	})
 	defer reg.Close()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sourcelda/internal/dtrain"
+	"sourcelda/internal/obs/obstest"
 )
 
 const waitTimeout = 60 * time.Second
@@ -195,6 +196,7 @@ func TestEpochTelemetry(t *testing.T) {
 	}
 	var prom strings.Builder
 	cl.Metrics().WritePrometheus(&prom)
+	obstest.CheckExposition(t, prom.String())
 	for _, series := range []string{
 		"srcldactl_epoch 3", "srcldactl_epochs_total 3", "srcldactl_workers 2",
 		"srcldactl_staleness 2", "srcldactl_merge_bytes_total", "srcldactl_worker_lag_seconds",

@@ -184,6 +184,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP srcldactl_worker_failures_total Workers lost and replaced.\n")
 	fmt.Fprintf(w, "# TYPE srcldactl_worker_failures_total counter\n")
 	fmt.Fprintf(w, "srcldactl_worker_failures_total %d\n", failures)
+	fmt.Fprintf(w, "# HELP srcldactl_epoch_seconds Wall time of a sync epoch, broadcast to merged.\n")
+	fmt.Fprintf(w, "# TYPE srcldactl_epoch_seconds histogram\n")
 	m.epochLatency.Snapshot().WritePrometheus(w, "srcldactl_epoch_seconds", "")
 	obs.WriteRuntimeMetrics(w, "srcldactl", -1)
 }

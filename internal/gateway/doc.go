@@ -4,7 +4,7 @@
 //
 // Routing is consistent hashing with bounded loads: a model name hashes to
 // a deterministic replica preference order (so each replica's OS page cache
-// and per-model dispatcher stay hot for the models it owns), and a bounded
+// and per-model session pool stay hot for the models it owns), and a bounded
 // in-flight cap spills a hot model to its ring neighbors instead of pinning
 // one replica. Availability is decided by two independent signals — active
 // /readyz probes (which catch hangs) and passive consecutive-failure

@@ -20,6 +20,7 @@ import (
 
 	"sourcelda/internal/gateway"
 	"sourcelda/internal/gateway/gatewaytest"
+	"sourcelda/internal/obs/obstest"
 )
 
 // newGateway builds a gateway over the cluster and serves it; mutate tweaks
@@ -241,6 +242,7 @@ func TestGatewayKillReplicaUnderLoad(t *testing.T) {
 	if st != http.StatusOK {
 		t.Fatalf("/metrics: status %d", st)
 	}
+	obstest.CheckExposition(t, string(metrics))
 	wantLine := fmt.Sprintf("srcldagw_requests_total{code=\"200\"} %d", issued)
 	if !strings.Contains(string(metrics), wantLine) {
 		t.Errorf("/metrics missing %q", wantLine)

@@ -1,7 +1,7 @@
 // Package gatewaytest stands up in-process srcldad replica clusters with
 // injectable faults — abrupt kill, hang, 503 storm, delayed readiness — so
 // the gateway's failover behavior is tested end to end against the real
-// registry stack (real HTTP, real dispatcher, real bundles) instead of
+// registry stack (real HTTP, real admission, real bundles) instead of
 // scripted stubs. Faults are the interesting part of a load balancer; this
 // package makes each one a single method call in a test.
 package gatewaytest

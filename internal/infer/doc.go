@@ -18,7 +18,7 @@
 // stream keyed by the document's content, not its batch position — so Infer
 // and InferBatch are pure functions of (model, options, document). A batch
 // of N documents is bit-for-bit identical to N independent single-document
-// calls, no matter how a server micro-batches concurrent requests or how
+// calls, no matter how a server interleaves concurrent requests or how
 // many workers execute them. This is the same per-stream determinism the
 // training engine relies on (see internal/core and internal/rng), applied
 // per document instead of per shard.

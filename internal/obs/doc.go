@@ -14,8 +14,8 @@
 //   - NewRequestID / ValidRequestID and Trace implement request tracing:
 //     an X-Request-Id is generated (or accepted from the client), carried
 //     through the request lifecycle in the context, and accumulates
-//     per-stage durations (queue wait → batch assembly → inference →
-//     render) that the access log and the per-stage histograms report.
+//     per-stage durations (inference → render) that the access log and the
+//     per-stage histograms report.
 //   - Histogram is a lock-free fixed-bucket histogram rendered in the
 //     Prometheus exposition format — the replacement for sampled quantile
 //     windows, which silently degrade under sustained load.

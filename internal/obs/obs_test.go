@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sourcelda/internal/obs/obstest"
 )
 
 func TestNewLoggerFormats(t *testing.T) {
@@ -86,14 +88,14 @@ func TestValidRequestID(t *testing.T) {
 
 func TestTraceAccumulatesAndNilSafe(t *testing.T) {
 	tr := NewTrace("abc")
-	tr.Add(StageQueueWait, 2*time.Millisecond)
-	tr.Add(StageQueueWait, 3*time.Millisecond)
-	tr.Add(StageInfer, 7*time.Millisecond)
-	if got := tr.Stage(StageQueueWait); got != 5*time.Millisecond {
-		t.Fatalf("queue_wait = %v, want 5ms", got)
+	tr.Add(StageInfer, 2*time.Millisecond)
+	tr.Add(StageInfer, 3*time.Millisecond)
+	tr.Add(StageGateway, 7*time.Millisecond)
+	if got := tr.Stage(StageInfer); got != 5*time.Millisecond {
+		t.Fatalf("infer = %v, want 5ms", got)
 	}
 	d := tr.Durations()
-	if d[StageInfer] != 7*time.Millisecond || d[StageRender] != 0 {
+	if d[StageGateway] != 7*time.Millisecond || d[StageRender] != 0 {
 		t.Fatalf("durations = %v", d)
 	}
 	tr.SetModel("news")
@@ -121,13 +123,13 @@ func TestTraceContextRoundTrip(t *testing.T) {
 }
 
 func TestStageNames(t *testing.T) {
-	want := []string{"queue_wait", "batch_assembly", "infer", "render", "gateway"}
+	want := []string{"infer", "render", "gateway"}
 	for i, s := range Stages() {
 		if s.String() != want[i] {
 			t.Errorf("stage %d = %q, want %q", i, s.String(), want[i])
 		}
 	}
-	wantServing := []string{"queue_wait", "batch_assembly", "infer", "render"}
+	wantServing := []string{"infer", "render"}
 	for i, s := range ServingStages() {
 		if s.String() != wantServing[i] {
 			t.Errorf("serving stage %d = %q, want %q", i, s.String(), wantServing[i])
@@ -273,6 +275,7 @@ func TestTrainingRecorderJSONL(t *testing.T) {
 	rr := httptest.NewRecorder()
 	r.MetricsHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	body := rr.Body.String()
+	obstest.CheckExposition(t, body)
 	for _, want := range []string{
 		"srclda_sweep 3", "srclda_total_sweeps 3", "srclda_sweeps_total 3",
 		"srclda_tokens_per_sec 1000", "srclda_checkpoints_total 1", "srclda_goroutines ",
@@ -311,6 +314,7 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	}
 	rr := httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/runtime", nil))
+	obstest.CheckExposition(t, rr.Body.String())
 	if !strings.Contains(rr.Body.String(), "test_mapped_bundle_bytes 4096") {
 		t.Fatalf("runtime metrics missing mapped bytes:\n%s", rr.Body.String())
 	}

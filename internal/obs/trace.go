@@ -11,19 +11,14 @@ import (
 
 // Stage names one segment of a request's lifecycle. The serving path records
 // a duration per stage into the request's Trace and into per-model
-// fixed-bucket histograms, so a slow request can be attributed to queueing,
-// batching, sampling, or rendering rather than just "it was slow".
+// fixed-bucket histograms, so a slow request can be attributed to sampling,
+// rendering or the gateway hop rather than just "it was slow".
 type Stage uint8
 
 const (
-	// StageQueueWait is the time a document spent in the model's pending
-	// queue: from submission until the dispatcher dequeued it.
-	StageQueueWait Stage = iota
-	// StageBatchAssembly is the time from a document's dequeue until its
-	// micro-batch was sealed and handed to the worker pool.
-	StageBatchAssembly
-	// StageInfer is the fold-in Gibbs sampling time of the document's batch.
-	StageInfer
+	// StageInfer is the fold-in Gibbs sampling time of the document's
+	// request.
+	StageInfer Stage = iota
 	// StageRender is the response serialization time (topic lookup + JSON
 	// encoding), recorded once per request.
 	StageRender
@@ -39,10 +34,6 @@ const (
 // String returns the stage's metric-label name.
 func (s Stage) String() string {
 	switch s {
-	case StageQueueWait:
-		return "queue_wait"
-	case StageBatchAssembly:
-		return "batch_assembly"
 	case StageInfer:
 		return "infer"
 	case StageRender:
@@ -57,7 +48,7 @@ func (s Stage) String() string {
 // Stages lists every traced stage in lifecycle order — the iteration order
 // for metric registration and rendering.
 func Stages() [NumStages]Stage {
-	return [NumStages]Stage{StageQueueWait, StageBatchAssembly, StageInfer, StageRender, StageGateway}
+	return [NumStages]Stage{StageInfer, StageRender, StageGateway}
 }
 
 // ServingStages lists the stages the replica-side serving path (srcldad)
@@ -65,7 +56,7 @@ func Stages() [NumStages]Stage {
 // observes. Replica metric rendering iterates this list so srcldad scrapes
 // never carry a permanently empty gateway series.
 func ServingStages() []Stage {
-	return []Stage{StageQueueWait, StageBatchAssembly, StageInfer, StageRender}
+	return []Stage{StageInfer, StageRender}
 }
 
 // Trace is one request's span context: the request ID plus accumulated

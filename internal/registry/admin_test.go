@@ -195,10 +195,10 @@ func TestUnloadedDefaultIs404(t *testing.T) {
 	}
 }
 
-// TestRegistryCloseFailsPendingCleanly: a registry Close with requests
-// still queued replies ErrUnloaded instead of hanging callers.
+// TestRegistryCloseFailsPendingCleanly: a closed registry refuses requests
+// with an error instead of hanging callers, and Close is idempotent.
 func TestRegistryCloseFailsPendingCleanly(t *testing.T) {
-	reg := New(Config{BatchWindow: 0})
+	reg := New(Config{})
 	if _, err := reg.Load("m", "", trainModel(t, 7)); err != nil {
 		t.Fatal(err)
 	}

@@ -8,54 +8,21 @@ import (
 	"sourcelda/internal/obs"
 )
 
-// job is one document awaiting inference; reply is buffered so the
-// dispatcher never blocks on a caller that gave up. ctx is the submitting
-// request's context: the dispatcher drops jobs whose context is already
-// done (caller disconnected, or its request was shed mid-submit) instead of
-// paying full inference for a reply nobody will read.
-//
-// enqueued/dequeued bracket the document's time in the queue; trace is the
-// submitting request's span context (nil when the request is untraced), so
-// the dispatcher can attribute queue-wait, batch-assembly and inference
-// time back to the request that paid it.
-type job struct {
-	text  string
-	reply chan reply
-	ctx   context.Context
-
-	enqueued time.Time
-	dequeued time.Time
-	trace    *obs.Trace
-}
-
-// reply carries one scored document back to its caller, together with the
-// model version that actually scored it. Around a hot swap, the version a
-// handler read before queueing and the version the dispatcher scored with
-// can differ; responses must be rendered against the scoring version, never
-// the stale one (labels and mixture widths may not match otherwise).
-type reply struct {
-	doc *sourcelda.DocumentInference
-	by  *version
-	err error
-}
-
 // Scored is one document's inference result plus the model build that
 // produced it.
 type Scored struct {
 	// Doc is nil when the document had no in-vocabulary tokens.
 	Doc *sourcelda.DocumentInference
-	// Model and ModelVersion identify the build that scored the document —
-	// around a hot swap, documents of one request may legitimately differ.
+	// Model and ModelVersion identify the build that scored the document.
 	Model        *sourcelda.Model
 	ModelVersion string
 }
 
-// Infer scores the documents against the named model ("" = default): it
-// submits them to the model's dispatcher and waits for every reply (or the
-// request context). A trace attached to ctx with obs.WithTrace accumulates
-// the documents' per-stage durations. Errors: ErrModelNotFound,
-// ErrOverloaded (queue full), ErrUnloaded (model removed while queued), or
-// the context's error.
+// Infer scores the documents against the named model ("" = default) on the
+// calling goroutine. A trace attached to ctx with obs.WithTrace accumulates
+// the documents' inference time. Errors: ErrModelNotFound, ErrOverloaded
+// (the request would exceed the in-flight bound), ErrUnloaded (model removed
+// before the request pinned a session), or the context's error.
 func (r *Registry) Infer(ctx context.Context, name string, texts []string) ([]Scored, error) {
 	e, err := r.lookup(name)
 	if err != nil {
@@ -64,145 +31,45 @@ func (r *Registry) Infer(ctx context.Context, name string, texts []string) ([]Sc
 	return e.enqueue(ctx, obs.TraceFrom(ctx), texts)
 }
 
-// enqueue submits the documents to the entry's dispatcher and collects the
-// replies. tr is the submitting request's span (nil when untraced); the
-// HTTP path hands it over directly so the hot path never pays a context
-// injection. On any early return the derived context is canceled, which
-// tells the dispatcher to drop this request's already-queued jobs unscored.
-func (e *entry) enqueue(reqCtx context.Context, tr *obs.Trace, texts []string) ([]Scored, error) {
-	ctx, cancel := context.WithCancel(reqCtx)
-	defer cancel()
-	replies := make([]chan reply, len(texts))
-	for i, t := range texts {
-		ch := make(chan reply, 1)
-		replies[i] = ch
-		j := job{text: t, reply: ch, ctx: ctx, enqueued: time.Now(), trace: tr}
-		if err := e.submit(j); err != nil {
-			return nil, err
-		}
+// enqueue admits the request's documents whole-or-not against the entry's
+// in-flight bound, scores them on the calling goroutine and records the
+// inference stage. tr is the submitting request's span (nil when untraced);
+// the HTTP path hands it over directly so the hot path never pays a context
+// injection. The context is checked once, before scoring: a fold-in run is
+// not interruptible, so a caller that is already gone costs nothing and one
+// that leaves mid-run costs at most its own documents.
+func (e *entry) enqueue(ctx context.Context, tr *obs.Trace, texts []string) ([]Scored, error) {
+	n := int64(len(texts))
+	if e.inflight.Add(n) > int64(e.cfg.QueueSize) {
+		e.inflight.Add(-n)
+		return nil, ErrOverloaded
 	}
+	defer e.inflight.Add(-n)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	results, by := e.score(texts)
+	if results == nil {
+		return nil, ErrUnloaded
+	}
+	// Every document of the request waited for the whole scoring call, so
+	// each is charged its full duration.
+	inferDur := time.Since(start)
 	out := make([]Scored, len(texts))
-	for i, ch := range replies {
-		select {
-		case rep := <-ch:
-			if rep.err != nil {
-				return nil, rep.err
-			}
-			out[i] = Scored{Doc: rep.doc, Model: rep.by.model, ModelVersion: rep.by.version}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	for i, doc := range results {
+		e.metrics.recordStage(obs.StageInfer, inferDur)
+		tr.Add(obs.StageInfer, inferDur)
+		out[i] = Scored{Doc: doc, Model: by.model, ModelVersion: by.version}
 	}
 	return out, nil
 }
 
-// submit enqueues one job unless the entry is stopped (unloaded) or the
-// queue is full. Holding qmu.RLock across the send is what makes stop()'s
-// final drain complete: once stop() has the write lock, no job can slip
-// into the channel afterwards.
-func (e *entry) submit(j job) error {
-	e.qmu.RLock()
-	defer e.qmu.RUnlock()
-	if e.stopped {
-		return ErrUnloaded
-	}
-	select {
-	case e.jobs <- j:
-		return nil
-	default:
-		return ErrOverloaded
-	}
-}
-
-// run is the entry's dispatcher loop: it pulls the first pending document,
-// waits up to BatchWindow for more (from any caller), scores the coalesced
-// batch against the currently active version, and scatters results. On
-// shutdown it fails whatever is still queued with ErrUnloaded so no caller
-// hangs, then signals drained.
-func (e *entry) run(ctx context.Context) {
-	defer close(e.drained)
-	for {
-		var first job
-		select {
-		case <-ctx.Done():
-			e.failPending()
-			return
-		case first = <-e.jobs:
-			first.dequeued = time.Now()
-		}
-		batch := append(make([]job, 0, e.cfg.MaxBatch), first)
-		if e.cfg.BatchWindow > 0 {
-			timer := time.NewTimer(e.cfg.BatchWindow)
-		collect:
-			for len(batch) < e.cfg.MaxBatch {
-				select {
-				case j := <-e.jobs:
-					j.dequeued = time.Now()
-					batch = append(batch, j)
-				case <-timer.C:
-					break collect
-				}
-			}
-			timer.Stop()
-		} else {
-		drain:
-			for len(batch) < e.cfg.MaxBatch {
-				select {
-				case j := <-e.jobs:
-					j.dequeued = time.Now()
-					batch = append(batch, j)
-				default:
-					break drain
-				}
-			}
-		}
-		// Drop jobs whose request is already gone — a shed or disconnected
-		// caller must not cost a full Gibbs run whose reply nobody reads.
-		live := batch[:0]
-		for _, j := range batch {
-			if j.ctx.Err() == nil {
-				live = append(live, j)
-			}
-		}
-		if len(live) == 0 {
-			continue
-		}
-		texts := make([]string, len(live))
-		for i, j := range live {
-			texts[i] = j.text
-		}
-		// assembled marks the batch seal; everything between a job's dequeue
-		// and this point is batch-assembly time (waiting for co-batched
-		// documents), and the score call below is its inference time.
-		assembled := time.Now()
-		results, by := e.score(texts)
-		inferDur := time.Since(assembled)
-		if results == nil {
-			for _, j := range live {
-				j.reply <- reply{err: ErrUnloaded}
-			}
-			continue
-		}
-		e.metrics.recordBatch(len(live))
-		for i, j := range live {
-			queueWait := j.dequeued.Sub(j.enqueued)
-			assembly := assembled.Sub(j.dequeued)
-			e.metrics.recordStage(obs.StageQueueWait, queueWait)
-			e.metrics.recordStage(obs.StageBatchAssembly, assembly)
-			e.metrics.recordStage(obs.StageInfer, inferDur)
-			j.trace.Add(obs.StageQueueWait, queueWait)
-			j.trace.Add(obs.StageBatchAssembly, assembly)
-			j.trace.Add(obs.StageInfer, inferDur)
-			j.reply <- reply{doc: results[i], by: by}
-		}
-	}
-}
-
-// score runs one batch against the entry's active version, pinning the
-// session so a concurrent hot swap drains behind it instead of tearing it
-// down mid-batch. If the version it read was swapped out AND fully drained
-// between the load and the pin — possible only when another version is
-// already active — it retries against the replacement. Returns nil only
+// score runs one request's documents against the entry's active version,
+// pinning the session so a concurrent hot swap drains behind it instead of
+// tearing it down mid-run. If the version it read was swapped out AND fully
+// drained between the load and the pin — possible only when another version
+// is already active — it retries against the replacement. Returns nil only
 // when no version is active (the entry is being unloaded).
 func (e *entry) score(texts []string) ([]*sourcelda.DocumentInference, *version) {
 	for {
@@ -216,19 +83,5 @@ func (e *entry) score(texts []string) ([]*sourcelda.DocumentInference, *version)
 		results := v.inferrer.InferBatch(texts)
 		v.inferrer.Release()
 		return results, v
-	}
-}
-
-// failPending replies ErrUnloaded to every job still queued at shutdown.
-// stop() sets stopped before canceling the context, so by the time this
-// runs the channel can no longer grow and a simple drain is complete.
-func (e *entry) failPending() {
-	for {
-		select {
-		case j := <-e.jobs:
-			j.reply <- reply{err: ErrUnloaded}
-		default:
-			return
-		}
 	}
 }

@@ -8,18 +8,19 @@
 // fresh bundle for the same logical model name replaces the previous one
 // while requests are in flight. The registry makes that safe:
 //
-//   - Each logical model name owns a bounded job queue and a micro-batching
-//     dispatcher (the same coalescing discipline documented in
-//     docs/OPERATIONS.md), so one hot model cannot starve another's queue.
+//   - A request's documents are scored on the goroutine that received it,
+//     admitted whole-or-not against the model's own in-flight document bound
+//     (docs/OPERATIONS.md), so one hot model cannot consume another's
+//     admission budget.
 //   - The active version of a model is an atomically-swapped pointer to a
 //     reference-counted inference session (sourcelda.Inferrer backed by
 //     infer.Session). A swap installs the new version for all subsequent
-//     batches and closes the old session's owner reference; its worker pool
-//     is freed only after every in-flight batch releases its pin, so no
+//     requests and closes the old session's owner reference; its worker pool
+//     is freed only after every in-flight request releases its pin, so no
 //     request ever observes a torn-down model. The request path never
 //     blocks on a swap — copy-on-swap, drain-on-refcount.
 //   - Responses are unchanged by swaps in the only sense that matters:
-//     a mixture is a pure function of (model, seed, text), so every batch
+//     a mixture is a pure function of (model, seed, text), so every document
 //     scored against version B is bit-for-bit what a fresh B-only daemon
 //     would return.
 //
@@ -28,7 +29,7 @@
 // bundle as the request body), or dropped into a watched directory
 // (-models-dir; Watcher polls for new, changed and removed *.bundle
 // files). Per-model serving metrics — request counts by status, shed 503s,
-// batch sizes, queue depth, p50/p99 latency, open sessions, swap counts —
+// in-flight documents, p50/p99 latency, open sessions, swap counts —
 // are exported in Prometheus text format via Registry.WritePrometheus
 // (GET /metrics on the daemon).
 //

@@ -48,7 +48,7 @@ func mappedModel(t *testing.T, data []byte) *sourcelda.Model {
 // bytes loaded eagerly — including the topics endpoint, which materializes
 // rows lazily from the mapped slab.
 func TestPutFlatBundle(t *testing.T) {
-	cfg := Config{BatchWindow: time.Millisecond}
+	cfg := Config{}
 	data := flatBundleBytes(t, trainModel(t, 7), "flat", "f1")
 	oracle, err := sourcelda.LoadBundle(bytes.NewReader(data))
 	if err != nil {
@@ -122,7 +122,7 @@ func TestPutFlatBundle(t *testing.T) {
 // responses stay correct even though A's model was closed at swap time).
 // Run with -race.
 func TestHotSwapUnderLoadFlat(t *testing.T) {
-	cfg := Config{BatchWindow: time.Millisecond}
+	cfg := Config{}
 	aBytes := flatBundleBytes(t, trainModel(t, 7), "m", "a")
 	bBytes := flatBundleBytes(t, trainModelFree(t, 99, 1), "m", "b")
 	texts := []string{

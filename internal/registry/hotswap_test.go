@@ -67,7 +67,7 @@ func canonicalResponses(t *testing.T, cfg Config, m *sourcelda.Model, texts []st
 //
 // Run with -race.
 func TestHotSwapUnderLoad(t *testing.T) {
-	cfg := Config{BatchWindow: time.Millisecond}
+	cfg := Config{}
 	modelA := trainModel(t, 7)
 	// B has an extra free topic: a structurally different model (3-wide
 	// mixtures vs 2) over the same vocabulary, so A- and B-era responses
@@ -182,7 +182,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 
 	// The old session drains: its refcount releases the pool and the
 	// open-sessions gauge returns to 1. Poll briefly — draining completes
-	// as soon as the last A-era batch finishes.
+	// as soon as the last A-era request finishes.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		info, err := reg.Info("m")
@@ -217,7 +217,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 
 	// Observability reconciliation: the stage histograms were hammered by
 	// concurrent recording across the swap (run with -race), yet every
-	// single-document 200 passed through all four stages exactly once — the
+	// single-document 200 passed through both stages exactly once — the
 	// histogram counts must equal the generator's request count, no samples
 	// lost or duplicated.
 	scraped := scrapeMetrics(t, url)
@@ -228,7 +228,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	if got := scraped[`srcldad_request_latency_seconds_count{model="m"}`]; got != total {
 		t.Errorf("request latency histogram count = %v, want %v", got, total)
 	}
-	for _, stage := range []string{"queue_wait", "batch_assembly", "infer", "render"} {
+	for _, stage := range []string{"infer", "render"} {
 		key := fmt.Sprintf(`srcldad_stage_latency_seconds_count{model="m",stage=%q}`, stage)
 		if got := scraped[key]; got != total {
 			t.Errorf("%s = %v, want %v (stage recording diverged from requests_total)", key, got, total)
@@ -236,8 +236,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSwapKeepsQueueAndMetrics: a swap must not reset the entry's metrics
-// or lose its queue — counters belong to the model name, not the build.
+// TestSwapKeepsQueueAndMetrics: a swap must not reset the entry's metrics —
+// counters belong to the model name, not the build.
 func TestSwapKeepsQueueAndMetrics(t *testing.T) {
 	ts, reg := newTestServer(t, Config{})
 	if code, _ := postInfer(t, ts.URL+"/v1/infer", `{"text":"pencil"}`); code != 200 {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sourcelda"
+	"sourcelda/internal/obs/obstest"
 )
 
 // fitLearnRuntime trains a warm chain over the standard two-topic fixture.
@@ -329,6 +330,7 @@ func TestLearnerBackpressure(t *testing.T) {
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
 	out := buf.String()
+	obstest.CheckExposition(t, out)
 	for _, series := range []string{
 		"srcldad_feed_docs_total{model=\"learn\"}",
 		"srcldad_feed_shed_total{model=\"learn\"}",

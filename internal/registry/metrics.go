@@ -17,18 +17,15 @@ import (
 // across scrapes and models, and never degrade under sustained load the way
 // a sliding quantile window does once traffic outruns it.
 type modelMetrics struct {
-	mu        sync.Mutex
-	byCode    map[int]uint64
-	requests  uint64
-	shed      uint64
-	batches   uint64
-	batchDocs uint64
-	swaps     uint64
+	mu       sync.Mutex
+	byCode   map[int]uint64
+	requests uint64
+	shed     uint64
+	swaps    uint64
 
 	// latency is end-to-end request latency; stages break a request's time
-	// into lifecycle segments (queue wait, batch assembly, inference,
-	// render). The histograms are lock-free, so the dispatcher's hot path
-	// never contends with a scrape.
+	// into lifecycle segments (inference, render). The histograms are
+	// lock-free, so the request path never contends with a scrape.
 	latency *obs.Histogram
 	stages  [obs.NumStages]*obs.Histogram
 }
@@ -60,22 +57,14 @@ func (m *modelMetrics) recordStage(s obs.Stage, d time.Duration) {
 	}
 }
 
-// recordShed counts one queue-full rejection. Deliberately separate from
-// the 503 status count: an unload also answers 503, but only a full queue
-// is "shed" — capacity alerting keys on this counter and must not fire on
-// routine model retirements.
+// recordShed counts one over-the-bound rejection. Deliberately separate from
+// the 503 status count: an unload also answers 503, but only a request past
+// the in-flight bound is "shed" — capacity alerting keys on this counter and
+// must not fire on routine model retirements.
 func (m *modelMetrics) recordShed() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.shed++
-}
-
-// recordBatch counts one scored batch of n documents.
-func (m *modelMetrics) recordBatch(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.batches++
-	m.batchDocs += uint64(n)
 }
 
 // recordSwap counts one hot swap.
@@ -91,12 +80,9 @@ type MetricsSnapshot struct {
 	// breaks it down by HTTP status code.
 	Requests uint64
 	ByCode   map[int]uint64
-	// Shed counts requests rejected with 503 because the queue was full.
+	// Shed counts requests rejected with 503 because admitting them would
+	// have exceeded the in-flight document bound.
 	Shed uint64
-	// Batches and BatchDocs count dispatched micro-batches and the
-	// documents they carried (BatchDocs/Batches is the mean batch size).
-	Batches   uint64
-	BatchDocs uint64
 	// Swaps counts hot swaps of the model's active version.
 	Swaps uint64
 	// Latency is the cumulative request-latency histogram; Stages holds the
@@ -129,8 +115,6 @@ func (m *modelMetrics) snapshot() MetricsSnapshot {
 		s.ByCode[code] = n
 	}
 	s.Shed = m.shed
-	s.Batches = m.batches
-	s.BatchDocs = m.batchDocs
 	s.Swaps = m.swaps
 	return s
 }
@@ -160,27 +144,17 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "srcldad_requests_total{model=%q,code=\"%d\"} %d\n", mi.Name, code, mi.Stats.ByCode[code])
 		}
 	}
-	fmt.Fprintf(w, "# HELP srcldad_requests_shed_total Inference requests rejected with 503 because the model queue was full.\n")
+	fmt.Fprintf(w, "# HELP srcldad_requests_shed_total Inference requests rejected with 503 because they would have exceeded the model's in-flight document bound.\n")
 	fmt.Fprintf(w, "# TYPE srcldad_requests_shed_total counter\n")
 	for _, mi := range infos {
 		fmt.Fprintf(w, "srcldad_requests_shed_total{model=%q} %d\n", mi.Name, mi.Stats.Shed)
 	}
-	fmt.Fprintf(w, "# HELP srcldad_batches_total Micro-batches dispatched to the model's worker pool.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_batches_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "srcldad_batches_total{model=%q} %d\n", mi.Name, mi.Stats.Batches)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_batched_documents_total Documents carried by dispatched micro-batches (divide by srcldad_batches_total for mean batch size).\n")
-	fmt.Fprintf(w, "# TYPE srcldad_batched_documents_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "srcldad_batched_documents_total{model=%q} %d\n", mi.Name, mi.Stats.BatchDocs)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_queue_depth Documents waiting in the model's queue.\n")
+	fmt.Fprintf(w, "# HELP srcldad_queue_depth Documents admitted and not yet answered.\n")
 	fmt.Fprintf(w, "# TYPE srcldad_queue_depth gauge\n")
 	for _, mi := range infos {
 		fmt.Fprintf(w, "srcldad_queue_depth{model=%q} %d\n", mi.Name, mi.QueueDepth)
 	}
-	fmt.Fprintf(w, "# HELP srcldad_queue_capacity Bound of the model's pending-document queue.\n")
+	fmt.Fprintf(w, "# HELP srcldad_queue_capacity Bound on the model's in-flight documents; a request that would exceed it is shed.\n")
 	fmt.Fprintf(w, "# TYPE srcldad_queue_capacity gauge\n")
 	for _, mi := range infos {
 		fmt.Fprintf(w, "srcldad_queue_capacity{model=%q} %d\n", mi.Name, mi.QueueCapacity)
@@ -200,7 +174,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for _, mi := range infos {
 		mi.Stats.Latency.WritePrometheus(w, "srcldad_request_latency_seconds", fmt.Sprintf("model=%q", mi.Name))
 	}
-	fmt.Fprintf(w, "# HELP srcldad_stage_latency_seconds Time inference documents spend per lifecycle stage (queue_wait, batch_assembly, infer) plus per-request render time.\n")
+	fmt.Fprintf(w, "# HELP srcldad_stage_latency_seconds Per-document inference time (infer) and per-request render time (render).\n")
 	fmt.Fprintf(w, "# TYPE srcldad_stage_latency_seconds histogram\n")
 	for _, mi := range infos {
 		// Only the replica-side stages render here; obs.StageGateway is

@@ -2,17 +2,20 @@ package registry
 
 import (
 	"bufio"
+	"bytes"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"sourcelda"
+	"sourcelda/internal/obs"
+	"sourcelda/internal/obs/obstest"
 )
 
-// scrapeMetrics fetches /metrics and parses the exposition text into
-// metric{labels} → value.
+// scrapeMetrics fetches /metrics, checks the exposition is well formed, and
+// parses it into metric{labels} → value.
 func scrapeMetrics(t testing.TB, url string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
@@ -26,8 +29,13 @@ func scrapeMetrics(t testing.TB, url string) map[string]float64 {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("/metrics content type %q", ct)
 	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obstest.CheckExposition(t, string(body))
 	out := make(map[string]float64)
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(bytes.NewReader(body))
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -92,13 +100,9 @@ func TestMetricsMatchLoad(t *testing.T) {
 			t.Errorf("%s = %v (present %v), want %v", key, got, ok, want)
 		}
 	}
-	// Batches carried exactly the scored documents: ok requests only, beta
-	// requests carry 2 docs each.
-	if got := m[`srcldad_batched_documents_total{model="beta"}`]; got != okBeta*2 {
-		t.Errorf("beta batched docs = %v, want %d", got, okBeta*2)
-	}
-	if got := m[`srcldad_batches_total{model="default"}`]; got < 1 || got > okDefault {
-		t.Errorf("default batches = %v, want within [1,%d]", got, okDefault)
+	// Nothing is in flight once every response is in.
+	if got, ok := m[`srcldad_queue_depth{model="beta"}`]; !ok || got != 0 {
+		t.Errorf("beta queue depth = %v (present %v), want 0", got, ok)
 	}
 	// The request-latency histogram is a true bucketed histogram: its +Inf
 	// bucket equals its count, and the sum is positive for models that
@@ -112,13 +116,10 @@ func TestMetricsMatchLoad(t *testing.T) {
 	// Stage histograms count per scored document (render per request):
 	// default served 1-doc requests, beta 2-doc requests.
 	stageChecks := map[string]float64{
-		`srcldad_stage_latency_seconds_count{model="default",stage="queue_wait"}`:     okDefault,
-		`srcldad_stage_latency_seconds_count{model="default",stage="batch_assembly"}`: okDefault,
-		`srcldad_stage_latency_seconds_count{model="default",stage="infer"}`:          okDefault,
-		`srcldad_stage_latency_seconds_count{model="default",stage="render"}`:         okDefault,
-		`srcldad_stage_latency_seconds_count{model="beta",stage="queue_wait"}`:        okBeta * 2,
-		`srcldad_stage_latency_seconds_count{model="beta",stage="infer"}`:             okBeta * 2,
-		`srcldad_stage_latency_seconds_count{model="beta",stage="render"}`:            okBeta,
+		`srcldad_stage_latency_seconds_count{model="default",stage="infer"}`:  okDefault,
+		`srcldad_stage_latency_seconds_count{model="default",stage="render"}`: okDefault,
+		`srcldad_stage_latency_seconds_count{model="beta",stage="infer"}`:     okBeta * 2,
+		`srcldad_stage_latency_seconds_count{model="beta",stage="render"}`:    okBeta,
 	}
 	for key, want := range stageChecks {
 		if got, ok := m[key]; !ok || got != want {
@@ -134,49 +135,45 @@ func TestMetricsMatchLoad(t *testing.T) {
 	}
 }
 
-// TestMetricsShedCounting fills a tiny queue and asserts the 503s land in
-// both the by-code counter and the dedicated shed counter.
+// TestMetricsShedCounting: a request is admitted whole or not at all. One
+// that would put more documents in flight than QueueSize is always 503 with
+// nothing scored, counted once in both the by-code counter and the dedicated
+// shed counter; one that fits is 200.
 func TestMetricsShedCounting(t *testing.T) {
-	// A 1-deep queue, no batching window, one document per batch, and a
-	// deliberately slow fold-in schedule: 32 simultaneous requests cannot
-	// all fit, so some must shed.
-	ts, reg := newTestServer(t, Config{
-		QueueSize: 1, MaxBatch: 1, BatchWindow: 0,
-		// BurnIn is sized so one batch far exceeds the scheduler preemption
-		// quantum: even on one CPU the other requests get to submit (and
-		// shed) while the first is being scored.
-		Infer: sourcelda.InferOptions{BurnIn: 1000000, Samples: 1},
-	})
-	done := make(chan int, 32)
-	for i := 0; i < 32; i++ {
-		go func() {
-			code, _ := postInfer(t, ts.URL+"/v1/infer", `{"text":"pencil ruler eraser notebook"}`)
-			done <- code
-		}()
-	}
-	var shed, ok float64
-	for i := 0; i < 32; i++ {
-		switch <-done {
-		case 200:
-			ok++
-		case 503:
-			shed++
-		default:
-			t.Fatal("unexpected status under overload")
-		}
-	}
-	if shed == 0 {
-		t.Skip("queue never overflowed on this machine; nothing to assert")
+	body := `{"documents":["pencil ruler eraser","baseball glove"]}`
+
+	ts, reg := newTestServer(t, Config{QueueSize: 1})
+	code, out := postInfer(t, ts.URL+"/v1/infer", body)
+	if code != http.StatusServiceUnavailable || out["error"] != ErrOverloaded.Error() {
+		t.Fatalf("2 documents against a bound of 1: %d %v", code, out)
 	}
 	info, err := reg.Info("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if float64(info.Stats.Shed) != shed {
-		t.Fatalf("shed counter %d, want %v", info.Stats.Shed, shed)
+	if info.Stats.Shed != 1 || info.Stats.ByCode[503] != 1 || info.Stats.Requests != 1 {
+		t.Fatalf("shed %d, by-code %v, want one shed 503", info.Stats.Shed, info.Stats.ByCode)
 	}
-	if float64(info.Stats.ByCode[503]) != shed || float64(info.Stats.ByCode[200]) != ok {
-		t.Fatalf("by-code %v, want 200:%v 503:%v", info.Stats.ByCode, ok, shed)
+	if n := info.Stats.Stages[obs.StageInfer].Count; n != 0 {
+		t.Fatalf("%d documents scored for a shed request", n)
+	}
+	if info.QueueDepth != 0 || info.QueueCapacity != 1 {
+		t.Fatalf("queue depth %d of %d after a shed request, want 0 of 1", info.QueueDepth, info.QueueCapacity)
+	}
+	// The bound counts documents, not requests: one document still fits.
+	if code, out := postInfer(t, ts.URL+"/v1/infer", `{"text":"pencil ruler"}`); code != http.StatusOK {
+		t.Fatalf("1 document against a bound of 1: %d %v", code, out)
+	}
+
+	ts, reg = newTestServer(t, Config{QueueSize: 2})
+	if code, out := postInfer(t, ts.URL+"/v1/infer", body); code != http.StatusOK {
+		t.Fatalf("2 documents against a bound of 2: %d %v", code, out)
+	}
+	if info, err = reg.Info(""); err != nil {
+		t.Fatal(err)
+	}
+	if info.Stats.Shed != 0 || info.Stats.Stages[obs.StageInfer].Count != 2 {
+		t.Fatalf("shed %d, scored %d, want 0 and 2", info.Stats.Shed, info.Stats.Stages[obs.StageInfer].Count)
 	}
 }
 

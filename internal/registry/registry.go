@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -21,10 +20,11 @@ import (
 var (
 	// ErrModelNotFound means no model is loaded under the requested name.
 	ErrModelNotFound = errors.New("registry: model not found")
-	// ErrOverloaded means the model's pending-job queue is full and the
-	// request was shed instead of queued.
+	// ErrOverloaded means admitting the request would exceed the model's
+	// in-flight document bound (or a learner's feed queue), so it was shed.
 	ErrOverloaded = errors.New("registry: inference queue is full")
-	// ErrUnloaded means the model was unloaded while the request was queued.
+	// ErrUnloaded means the model was unloaded before the request could pin
+	// a session to score on.
 	ErrUnloaded = errors.New("registry: model unloaded")
 	// ErrClosed means the registry has shut down.
 	ErrClosed = errors.New("registry: closed")
@@ -47,16 +47,18 @@ type Config struct {
 	// AdminMaxBody caps an uploaded bundle (PUT /v1/models/{name}) in bytes
 	// (default 256 MiB) — bundles are far larger than inference requests.
 	AdminMaxBody int64
-	// QueueSize bounds each model's pending-document queue; a full queue
-	// sheds load with ErrOverloaded/503 instead of letting latency grow
-	// without bound (default 256).
+	// QueueSize bounds each model's in-flight documents — admitted and not
+	// yet answered. A request that would exceed it is shed whole with
+	// ErrOverloaded/503 instead of letting latency grow without bound
+	// (default 256).
 	QueueSize int
-	// BatchWindow is how long a model's dispatcher waits to coalesce more
-	// documents after the first arrives; MaxBatch caps one coalesced batch
-	// (default 32). Micro-batching never changes results: a document's
-	// mixture is a pure function of (model, seed, content).
+	// BatchWindow is read by nothing: requests score on their own goroutine
+	// and nothing is coalesced. It stays declared only because
+	// internal/bench/trace_serve.go, frozen by the benchmark contract, sets it.
 	BatchWindow time.Duration
-	MaxBatch    int
+	// MaxBatch is read by nothing; it stays declared for the same reason as
+	// BatchWindow.
+	MaxBatch int
 	// DefaultModel is the name the unnamed routes (/v1/infer, /v1/topics)
 	// alias (default "default").
 	DefaultModel string
@@ -94,9 +96,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.QueueSize < 1 {
 		c.QueueSize = 256
-	}
-	if c.MaxBatch < 1 {
-		c.MaxBatch = 32
 	}
 	if c.DefaultModel == "" {
 		c.DefaultModel = "default"
@@ -139,8 +138,8 @@ type Registry struct {
 	learnerClosed bool
 }
 
-// New returns an empty registry. Close it to stop every model's dispatcher
-// and release their inference sessions.
+// New returns an empty registry. Close it to unload every model and release
+// their inference sessions.
 func New(cfg Config) *Registry {
 	cfg.applyDefaults()
 	return &Registry{
@@ -202,23 +201,17 @@ type version struct {
 	byIndex    []sourcelda.Topic
 }
 
-// entry is the long-lived per-name serving state: the job queue and
-// dispatcher survive hot swaps, only the version pointer changes.
+// entry is the long-lived per-name serving state: the admission counter and
+// metrics survive hot swaps, only the version pointer changes.
 type entry struct {
 	name    string
 	cfg     *Config
-	jobs    chan job
 	current atomic.Pointer[version]
 	metrics *modelMetrics
 
-	// qmu guards sends on jobs against stop(): once stopped is set under
-	// the write lock, no submit can enqueue, so the dispatcher's final
-	// drain observes the channel's complete contents.
-	qmu     sync.RWMutex
-	stopped bool
-
-	cancel  context.CancelFunc
-	drained chan struct{}
+	// inflight counts documents admitted and not yet answered, bounded by
+	// cfg.QueueSize (see enqueue).
+	inflight atomic.Int64
 
 	// hmu guards sessions, every inference session this entry has ever
 	// activated that has not yet fully drained — the open-sessions gauge,
@@ -240,10 +233,10 @@ type LoadResult struct {
 }
 
 // Load makes m the active version of the named model, hot-swapping any
-// previous version behind in-flight requests: queued and future batches
-// score against m, while batches already running finish on the old session,
-// which is drained and released via its reference count. The request path
-// is never blocked and no request fails because of a swap.
+// previous version behind in-flight requests: requests that have not pinned
+// a session yet score against m, while those already scoring finish on the
+// old session, which is drained and released via its reference count. The
+// request path is never blocked and no request fails because of a swap.
 //
 // ver names the build; when empty it falls back to the bundle's embedded
 // version, then to a process-unique "load-N". The model must be able to
@@ -282,7 +275,7 @@ func (r *Registry) Load(name, ver string, m *sourcelda.Model) (LoadResult, error
 	}
 	e := r.entries[name]
 	if e == nil {
-		e = r.newEntry(name)
+		e = &entry{name: name, cfg: &r.cfg, metrics: newModelMetrics()}
 		r.entries[name] = e
 	}
 	e.trackSession(inferrer)
@@ -295,9 +288,9 @@ func (r *Registry) Load(name, ver string, m *sourcelda.Model) (LoadResult, error
 		res.PreviousVersion = old.version
 		e.metrics.recordSwap()
 		// Drop the owner reference; the old session frees its pool once the
-		// last in-flight batch releases its pin. Closing the old model drops
+		// last in-flight request releases its pin. Closing the old model drops
 		// its reference to any memory-mapped bundle — the unmap itself still
-		// waits for that same session drain, so in-flight batches are safe.
+		// waits for that same session drain, so in-flight requests are safe.
 		old.inferrer.Close()
 		if old.model != v.model {
 			old.model.Close()
@@ -311,25 +304,10 @@ func (r *Registry) Load(name, ver string, m *sourcelda.Model) (LoadResult, error
 	return res, nil
 }
 
-// newEntry creates the per-name queue, metrics and dispatcher. Caller holds
-// r.mu.
-func (r *Registry) newEntry(name string) *entry {
-	ctx, cancel := context.WithCancel(context.Background())
-	e := &entry{
-		name:    name,
-		cfg:     &r.cfg,
-		jobs:    make(chan job, r.cfg.QueueSize),
-		metrics: newModelMetrics(),
-		cancel:  cancel,
-		drained: make(chan struct{}),
-	}
-	go e.run(ctx)
-	return e
-}
-
-// Unload removes the named model: new requests get ErrModelNotFound, jobs
-// still queued are failed with ErrUnloaded, and the active session drains
-// and releases behind any batch still running.
+// Unload removes the named model: new requests get ErrModelNotFound, a
+// request that resolved the name but has not pinned a session yet gets
+// ErrUnloaded, and the active session drains and releases behind requests
+// still scoring on it.
 func (r *Registry) Unload(name string) error {
 	r.mu.Lock()
 	e := r.entries[name]
@@ -344,9 +322,8 @@ func (r *Registry) Unload(name string) error {
 	return nil
 }
 
-// Close unloads every model and marks the registry closed. Call only after
-// the HTTP layer has drained in-flight handlers, or queued requests are
-// failed with ErrUnloaded.
+// Close unloads every model and marks the registry closed. Requests already
+// scoring finish on their pinned session; later ones get ErrClosed.
 func (r *Registry) Close() {
 	r.closeLearners()
 	r.mu.Lock()
@@ -362,15 +339,10 @@ func (r *Registry) Close() {
 	}
 }
 
-// stop shuts an entry down: refuse new submits, cancel the dispatcher,
-// wait for it to fail whatever was still queued, then release the active
-// session.
+// stop retires the entry's active version: score finds no version from here
+// on, and the session and model are released once the requests pinning them
+// finish.
 func (e *entry) stop() {
-	e.qmu.Lock()
-	e.stopped = true
-	e.qmu.Unlock()
-	e.cancel()
-	<-e.drained
 	if v := e.current.Swap(nil); v != nil {
 		v.inferrer.Close()
 		v.model.Close()
@@ -433,8 +405,10 @@ type ModelInfo struct {
 	// Mapped reports whether the build serves from a memory-mapped flat
 	// bundle (zero-copy load, page-cache-shared conditionals); MappedBytes
 	// is the mapped file size (0 when not mapped).
-	Mapped        bool
-	MappedBytes   int64
+	Mapped      bool
+	MappedBytes int64
+	// QueueDepth counts documents admitted and not yet answered;
+	// QueueCapacity is the bound (Config.QueueSize) past which requests shed.
 	QueueDepth    int
 	QueueCapacity int
 	// OpenSessions counts inference sessions not yet fully drained: 1 in
@@ -471,8 +445,8 @@ func (r *Registry) ListInfo() []ModelInfo {
 func (e *entry) info() ModelInfo {
 	mi := ModelInfo{
 		Name:          e.name,
-		QueueDepth:    len(e.jobs),
-		QueueCapacity: cap(e.jobs),
+		QueueDepth:    int(e.inflight.Load()),
+		QueueCapacity: e.cfg.QueueSize,
 		OpenSessions:  e.openSessions(),
 		Stats:         e.metrics.snapshot(),
 	}

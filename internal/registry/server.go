@@ -119,8 +119,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		d := tr.Durations()
 		attrs = append(attrs,
 			"model", model,
-			"queue_wait_ms", durMillis(d[obs.StageQueueWait]),
-			"batch_assembly_ms", durMillis(d[obs.StageBatchAssembly]),
 			"infer_ms", durMillis(d[obs.StageInfer]),
 			"render_ms", durMillis(d[obs.StageRender]),
 		)
@@ -286,18 +284,6 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, e *entry, tr
 	if err != nil {
 		return writeError(w, r, http.StatusBadRequest, err.Error())
 	}
-	v := e.current.Load()
-	if v == nil {
-		return writeError(w, r, http.StatusServiceUnavailable, ErrUnloaded.Error())
-	}
-	// Reject unknown-word-only documents before queueing: the check is one
-	// tokenization pass, so the 422 costs no sampling and no queue slots.
-	for i, text := range texts {
-		if v.model.CountKnownTokens(text) == 0 {
-			return writeError(w, r, http.StatusUnprocessableEntity,
-				fmt.Sprintf("document %d has no tokens in the model vocabulary", i))
-		}
-	}
 	results, err := e.enqueue(r.Context(), tr, texts)
 	switch {
 	case errors.Is(err, ErrOverloaded):
@@ -306,7 +292,7 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, e *entry, tr
 	case errors.Is(err, ErrUnloaded):
 		return writeError(w, r, http.StatusServiceUnavailable, ErrUnloaded.Error())
 	case err != nil && r.Context().Err() != nil:
-		// The caller disconnected while its documents were queued — the
+		// The caller disconnected before its documents were scored — the
 		// same client-gone condition as the body-read path, and the same
 		// 499: it must not count as a server error.
 		return writeError(w, r, 499, "client closed request")
@@ -317,14 +303,14 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, e *entry, tr
 	docs := make([]inferredDocJSON, len(results))
 	for i, res := range results {
 		if res.Doc == nil {
-			// Defense in depth: the pre-check above already filtered these
-			// (barring a vocabulary-shrinking swap racing the pre-check).
+			// A document whose tokens are all outside the vocabulary of the
+			// build that scored it: no fold-in ran for it, so the 422 cost one
+			// tokenization.
 			return writeError(w, r, http.StatusUnprocessableEntity,
 				fmt.Sprintf("document %d has no tokens in the model vocabulary", i))
 		}
-		// Render with the build that scored the document, NOT the pre-queue
-		// snapshot v: a hot swap between the vocabulary check and scoring
-		// means labels and mixture widths belong to the new build.
+		// Render with the build that scored the document: labels and
+		// mixture widths belong to it, whatever a hot swap activated since.
 		docs[i] = renderDoc(res.Model, res.Doc, cfg.TopN)
 	}
 	var status int

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"sourcelda"
 )
@@ -188,14 +187,11 @@ func TestBatchEndpointAndDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcurrentInference: concurrent POSTs (exercising the micro-batcher
-// and the shared worker pool) all succeed and deterministic responses hold
-// under contention. Run with -race.
+// TestConcurrentInference: concurrent POSTs, each scoring on its own handler
+// goroutine against the shared session, all succeed and deterministic
+// responses hold under contention. Run with -race.
 func TestConcurrentInference(t *testing.T) {
-	ts, _ := newTestServer(t, Config{
-		Infer:       sourcelda.InferOptions{Workers: 4},
-		BatchWindow: time.Millisecond,
-	})
+	ts, _ := newTestServer(t, Config{Infer: sourcelda.InferOptions{Workers: 4}})
 	texts := []string{
 		"pencil ruler notebook",
 		"baseball umpire inning glove",
@@ -203,13 +199,13 @@ func TestConcurrentInference(t *testing.T) {
 		"eraser eraser notebook paper pencil",
 	}
 	const perText = 8
-	type reply struct {
+	type answer struct {
 		text    string
 		mixture string
 		err     error
 	}
 	var wg sync.WaitGroup
-	replies := make(chan reply, len(texts)*perText)
+	replies := make(chan answer, len(texts)*perText)
 	for _, text := range texts {
 		for i := 0; i < perText; i++ {
 			wg.Add(1)
@@ -218,13 +214,13 @@ func TestConcurrentInference(t *testing.T) {
 				resp, err := http.Post(ts.URL+"/v1/infer", "application/json",
 					strings.NewReader(fmt.Sprintf(`{"text":%q}`, text)))
 				if err != nil {
-					replies <- reply{err: err}
+					replies <- answer{err: err}
 					return
 				}
 				defer resp.Body.Close()
 				data, _ := io.ReadAll(resp.Body)
 				if resp.StatusCode != http.StatusOK {
-					replies <- reply{err: fmt.Errorf("status %d: %s", resp.StatusCode, data)}
+					replies <- answer{err: fmt.Errorf("status %d: %s", resp.StatusCode, data)}
 					return
 				}
 				var out struct {
@@ -233,10 +229,10 @@ func TestConcurrentInference(t *testing.T) {
 					} `json:"result"`
 				}
 				if err := json.Unmarshal(data, &out); err != nil {
-					replies <- reply{err: err}
+					replies <- answer{err: err}
 					return
 				}
-				replies <- reply{text: text, mixture: fmt.Sprint(out.Result.Mixture)}
+				replies <- answer{text: text, mixture: fmt.Sprint(out.Result.Mixture)}
 			}(text)
 		}
 	}

@@ -132,7 +132,7 @@ func TestAccessLogTracesRequest(t *testing.T) {
 		t.Fatalf("no access-log event for trace-me-123:\n%s", logBuf.String())
 	}
 	for _, key := range []string{"method", "path", "status", "duration_ms",
-		"model", "queue_wait_ms", "batch_assembly_ms", "infer_ms", "render_ms"} {
+		"model", "infer_ms", "render_ms"} {
 		if _, ok := access[key]; !ok {
 			t.Errorf("access log missing %q: %v", key, access)
 		}
@@ -214,10 +214,7 @@ func BenchmarkInferObsOverhead(b *testing.B) {
 		disable bool
 	}{{"TracingOn", false}, {"TracingOff", true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			reg := newTestRegistry(b, Config{
-				DisableTracing: bc.disable,
-				BatchWindow:    0, // no coalescing idle-wait in the measured path
-			})
+			reg := newTestRegistry(b, Config{DisableTracing: bc.disable})
 			if _, err := reg.Load(reg.DefaultModel(), "v1", trainModel(b, 7)); err != nil {
 				b.Fatal(err)
 			}

@@ -97,8 +97,8 @@ func NewStream(seed, stream int64) *RNG {
 // Deriving a document's fold-in RNG stream from its content (rather than
 // its position in a batch) makes inference a pure function of (seed,
 // document): the same document produces bit-for-bit identical results
-// whether it is scored alone, inside any batch, or coalesced with other
-// callers' requests by a serving micro-batcher.
+// whether it is scored alone, inside any batch, or beside other callers'
+// requests on a serving daemon.
 func TokenStream(words []int) int64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, w := range words {

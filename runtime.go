@@ -115,20 +115,18 @@ func (rt *Runtime) Append(texts []string, foldInSweeps int) (int, error) {
 }
 
 // Snapshot publishes the chain's current state as an immutable Model — the
-// republish primitive of continuous learning. The model's inference view is
-// the runtime's own frozen snapshot (core.ChainRuntime.Freeze), so serving
-// reads a point-in-time view of the very counts later Appends keep
-// updating. The snapshot shares nothing mutable with the runtime.
+// republish primitive of continuous learning: a point-in-time view of the
+// very counts later Appends keep updating. Like every Model it builds its
+// inference view from its Φ on first use, which yields the same conditionals
+// core.ChainRuntime.Freeze would. The snapshot shares nothing mutable with
+// the runtime.
 func (rt *Runtime) Snapshot() (*Model, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.closed {
 		return nil, ErrRuntimeClosed
 	}
-	f := rt.chain.Freeze()
-	m := &Model{res: rt.chain.Result(), vocab: rt.vocab, source: rt.k, info: trainedInfo(rt.coreOpts)}
-	m.frozenOnce.Do(func() { m.frozen = f })
-	return m, nil
+	return &Model{res: rt.chain.Result(), vocab: rt.vocab, source: rt.k, info: trainedInfo(rt.coreOpts)}, nil
 }
 
 // NewInferrer snapshots the chain and opens a reusable inference session

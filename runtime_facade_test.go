@@ -3,12 +3,14 @@ package sourcelda
 import (
 	"bytes"
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"sourcelda/internal/core"
+	"sourcelda/internal/infer"
 )
 
 func fitRuntimeFixture(t *testing.T) *Runtime {
@@ -64,6 +66,26 @@ func TestRuntimeAppendAndSnapshot(t *testing.T) {
 		}
 		if d.KnownTokens != 3 {
 			t.Fatalf("known tokens %d, want 3", d.KnownTokens)
+		}
+	}
+	// A snapshot builds its inference view from its own Φ; the mixture must
+	// carry the same bits as one folded in against the chain's frozen view.
+	const probe = "pencil ruler eraser baseball"
+	got, err := post.Infer(probe, InferOptions{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := infer.NewFromRuntime(rt.chain.Runtime(), infer.Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := engine.Infer(encodeForInference(rt.vocab, probe)).Theta
+	if len(got.Topics) != len(want) {
+		t.Fatalf("snapshot mixture has %d topics, frozen view %d", len(got.Topics), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got.Topics[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("topic %d: snapshot %v, frozen view %v", i, got.Topics[i], want[i])
 		}
 	}
 	if pre.BundleInfo().ChainDigest != post.BundleInfo().ChainDigest {
