@@ -232,3 +232,37 @@ func BenchmarkInferObsOverhead(b *testing.B) {
 		})
 	}
 }
+
+// TestTracingAllocs is the tracing middleware's cost gate, noise-free by
+// construction: the allocations one single-document request makes through
+// Server.ServeHTTP (request ID, span, access-log guard) minus what the same
+// request makes on the bare mux. The bound is the difference measured at the
+// commit that introduced this test; a new per-request allocation in the
+// middleware fails it.
+func TestTracingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	reg := newTestRegistry(t, Config{})
+	if _, err := reg.Load(reg.DefaultModel(), "v1", trainModel(t, 7)); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(reg)
+	payload := []byte(`{"text":"pencil ruler eraser pencil notebook paper baseball umpire pitcher glove"}`)
+	allocs := func(h http.Handler) float64 {
+		return testing.AllocsPerRun(200, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/infer", bytes.NewReader(payload)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			}
+		})
+	}
+	traced, bare := allocs(srv), allocs(srv.mux)
+	t.Logf("allocs per request: traced %.0f, bare mux %.0f", traced, bare)
+	if extra := traced - bare; extra > tracingAllocsBound {
+		t.Fatalf("tracing middleware costs %.0f allocations per request, bound %d", extra, tracingAllocsBound)
+	}
+}
+
+const tracingAllocsBound = 3
