@@ -212,7 +212,7 @@ func main() {
 			mln, err := net.Listen("tcp", *f.metricsAddr)
 			exitOn(err)
 			logger.Info("metrics listener", "addr", mln.Addr().String())
-			msrv := &http.Server{Handler: recorder.MetricsHandler(), ReadHeaderTimeout: 5 * time.Second}
+			msrv := &http.Server{Handler: obs.MetricsHandler(recorder.WritePrometheus), ReadHeaderTimeout: 5 * time.Second}
 			go func() {
 				if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {
 					logger.Error("metrics listener failed", "addr", mln.Addr().String(), "error", err)

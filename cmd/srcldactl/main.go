@@ -205,7 +205,7 @@ func runCoordinator(ctx context.Context, f *cliFlags, c *corpus.Corpus, src *kno
 	metrics := dtrain.NewMetrics(events)
 	if *f.metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", metrics.Handler())
+		mux.Handle("/metrics", obs.MetricsHandler(metrics.WritePrometheus))
 		msrv := &http.Server{Addr: *f.metricsAddr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 		go func() {
 			log.Info("metrics listener", "addr", *f.metricsAddr)

@@ -238,3 +238,58 @@ func TestSaveBundleFlatRejectsFlatLoadedModel(t *testing.T) {
 		t.Fatal("JSON-saving a flat-loaded model accepted")
 	}
 }
+
+// TestTopTopicsMaterializesNoPhi: ranking a document's mixture on a mapped
+// model — all an inference response needs — must leave every φ row
+// unmaterialized (each is an O(V) strided gather and a heap copy kept for
+// the model's life). Only TopWords / Probability on a returned Topic resolve
+// a row, and then only that topic's.
+func TestTopTopicsMaterializesNoPhi(t *testing.T) {
+	var flatBuf bytes.Buffer
+	if err := SaveBundleFlat(&flatBuf, fitFacadeModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.bundle")
+	if err := os.WriteFile(path, flatBuf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadBundleFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	var top []Topic
+	for _, text := range []string{"pencil ruler notebook", "baseball umpire inning", "paper glove pitcher eraser"} {
+		d, err := m.Infer(text, InferOptions{Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		top = m.TopTopics(d, m.NumTopics())
+		if len(top) != m.NumTopics() || top[0].Label == "" {
+			t.Fatalf("TopTopics = %+v", top)
+		}
+	}
+	if m.lazyPhi != nil {
+		t.Fatalf("TopTopics materialized φ rows: %d allocated", len(m.lazyPhi))
+	}
+
+	words := top[0].TopWords(3)
+	if p := top[0].Probability(words[0]); p <= 0 {
+		t.Fatalf("Probability(%q) = %g", words[0], p)
+	}
+	for i, row := range m.lazyPhi {
+		if (row != nil) != (i == top[0].Index) {
+			t.Fatalf("after TopWords on topic %d, row %d materialized = %v", top[0].Index, i, row != nil)
+		}
+	}
+	for _, tp := range m.Topics() {
+		if tp.Index == top[0].Index {
+			for i, w := range tp.TopWords(3) {
+				if w != words[i] {
+					t.Fatalf("lazy top words %v differ from Topics()'s %v", words, tp.TopWords(3))
+				}
+			}
+		}
+	}
+}

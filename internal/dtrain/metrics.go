@@ -1,10 +1,7 @@
 package dtrain
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"net/http"
 	"sync"
 	"time"
 
@@ -38,17 +35,16 @@ type EpochEvent struct {
 }
 
 // Metrics aggregates coordinator telemetry into the two standard surfaces:
-// an EpochEvent JSONL log and a Prometheus handler exposing srcldactl_*
-// series. A nil *Metrics is valid and records nothing.
+// an EpochEvent JSONL log and a Prometheus body (WritePrometheus) exposing
+// srcldactl_* series. A nil *Metrics is valid and records nothing.
 type Metrics struct {
 	mu             sync.Mutex
-	out            io.Writer
+	log            obs.EventLog
 	last           EpochEvent
 	epochs         uint64
 	mergeBytes     int64
 	framesRejected uint64
 	workerFailures uint64
-	err            error
 
 	epochLatency *obs.Histogram
 }
@@ -56,7 +52,7 @@ type Metrics struct {
 // NewMetrics builds a Metrics writing JSONL epoch events to out (nil for
 // metrics-only).
 func NewMetrics(out io.Writer) *Metrics {
-	return &Metrics{out: out, epochLatency: obs.NewHistogram(obs.DefaultLatencyBuckets())}
+	return &Metrics{log: obs.EventLog{Out: out}, epochLatency: obs.NewHistogram(obs.DefaultLatencyBuckets())}
 }
 
 // RecordEpoch appends one epoch event to the JSONL log and updates the
@@ -71,17 +67,7 @@ func (m *Metrics) RecordEpoch(ev EpochEvent) {
 	m.last = ev
 	m.epochs++
 	m.mergeBytes += ev.MergeBytes
-	if m.out == nil {
-		return
-	}
-	b, err := json.Marshal(ev)
-	if err == nil {
-		b = append(b, '\n')
-		_, err = m.out.Write(b)
-	}
-	if err != nil && m.err == nil {
-		m.err = err
-	}
+	m.log.Append(ev)
 }
 
 // EpochsMerged returns how many sync epochs this coordinator has merged.
@@ -144,7 +130,7 @@ func (m *Metrics) Err() error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.err
+	return m.log.Err()
 }
 
 // WritePrometheus renders the coordinator's state as srcldactl_* series.
@@ -157,43 +143,26 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	rejected, failures := m.framesRejected, m.workerFailures
 	m.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP srcldactl_epoch Last merged sync epoch (1-based).\n")
-	fmt.Fprintf(w, "# TYPE srcldactl_epoch gauge\n")
-	fmt.Fprintf(w, "srcldactl_epoch %d\n", last.Epoch)
-	fmt.Fprintf(w, "# HELP srcldactl_epochs_total Sync epochs merged by this coordinator.\n")
-	fmt.Fprintf(w, "# TYPE srcldactl_epochs_total counter\n")
-	fmt.Fprintf(w, "srcldactl_epochs_total %d\n", epochs)
-	fmt.Fprintf(w, "# HELP srcldactl_workers Configured worker (shard) count.\n")
-	fmt.Fprintf(w, "# TYPE srcldactl_workers gauge\n")
-	fmt.Fprintf(w, "srcldactl_workers %d\n", last.Workers)
-	fmt.Fprintf(w, "# HELP srcldactl_staleness Local sweeps between sync boundaries.\n")
-	fmt.Fprintf(w, "# TYPE srcldactl_staleness gauge\n")
-	fmt.Fprintf(w, "srcldactl_staleness %d\n", last.Staleness)
-	fmt.Fprintf(w, "# HELP srcldactl_merge_bytes_total Delta payload bytes merged.\n")
-	fmt.Fprintf(w, "# TYPE srcldactl_merge_bytes_total counter\n")
-	fmt.Fprintf(w, "srcldactl_merge_bytes_total %d\n", mergeBytes)
-	fmt.Fprintf(w, "# HELP srcldactl_worker_lag_seconds Straggler gap of the last epoch (first to last delta).\n")
-	fmt.Fprintf(w, "# TYPE srcldactl_worker_lag_seconds gauge\n")
-	fmt.Fprintf(w, "srcldactl_worker_lag_seconds %g\n", last.WorkerLagSeconds)
-	fmt.Fprintf(w, "# HELP srcldactl_tokens_per_sec Aggregate sampling throughput of the last epoch.\n")
-	fmt.Fprintf(w, "# TYPE srcldactl_tokens_per_sec gauge\n")
-	fmt.Fprintf(w, "srcldactl_tokens_per_sec %g\n", last.TokensPerSec)
-	fmt.Fprintf(w, "# HELP srcldactl_frames_rejected_total Corrupt wire frames refused.\n")
-	fmt.Fprintf(w, "# TYPE srcldactl_frames_rejected_total counter\n")
-	fmt.Fprintf(w, "srcldactl_frames_rejected_total %d\n", rejected)
-	fmt.Fprintf(w, "# HELP srcldactl_worker_failures_total Workers lost and replaced.\n")
-	fmt.Fprintf(w, "# TYPE srcldactl_worker_failures_total counter\n")
-	fmt.Fprintf(w, "srcldactl_worker_failures_total %d\n", failures)
-	fmt.Fprintf(w, "# HELP srcldactl_epoch_seconds Wall time of a sync epoch, broadcast to merged.\n")
-	fmt.Fprintf(w, "# TYPE srcldactl_epoch_seconds histogram\n")
-	m.epochLatency.Snapshot().WritePrometheus(w, "srcldactl_epoch_seconds", "")
+	x := obs.NewExposition(w)
+	x.Family("srcldactl_epoch", "gauge", "Last merged sync epoch (1-based).")
+	x.Int(int64(last.Epoch))
+	x.Family("srcldactl_epochs_total", "counter", "Sync epochs merged by this coordinator.")
+	x.Int(int64(epochs))
+	x.Family("srcldactl_workers", "gauge", "Configured worker (shard) count.")
+	x.Int(int64(last.Workers))
+	x.Family("srcldactl_staleness", "gauge", "Local sweeps between sync boundaries.")
+	x.Int(int64(last.Staleness))
+	x.Family("srcldactl_merge_bytes_total", "counter", "Delta payload bytes merged.")
+	x.Int(mergeBytes)
+	x.Family("srcldactl_worker_lag_seconds", "gauge", "Straggler gap of the last epoch (first to last delta).")
+	x.Float(last.WorkerLagSeconds)
+	x.Family("srcldactl_tokens_per_sec", "gauge", "Aggregate sampling throughput of the last epoch.")
+	x.Float(last.TokensPerSec)
+	x.Family("srcldactl_frames_rejected_total", "counter", "Corrupt wire frames refused.")
+	x.Int(int64(rejected))
+	x.Family("srcldactl_worker_failures_total", "counter", "Workers lost and replaced.")
+	x.Int(int64(failures))
+	x.Family("srcldactl_epoch_seconds", "histogram", "Wall time of a sync epoch, broadcast to merged.")
+	x.Histogram(m.epochLatency.Snapshot())
 	obs.WriteRuntimeMetrics(w, "srcldactl", -1)
-}
-
-// Handler serves WritePrometheus over HTTP.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.WritePrometheus(w)
-	})
 }

@@ -49,3 +49,12 @@ func TestGoldenCoordinatorScrape(t *testing.T) {
 	obstest.CheckGolden(t, filepath.Join("testdata", "coordinator.metrics"), obstest.MaskVolatile(text))
 	obstest.CheckGolden(t, filepath.Join("testdata", "epochs.jsonl"), events.String())
 }
+
+// TestMetricsDocumented diffs the families srcldactl's coordinator renders
+// against the table in docs/API.md.
+func TestMetricsDocumented(t *testing.T) {
+	m, _ := recordedRun()
+	var scrape bytes.Buffer
+	m.WritePrometheus(&scrape)
+	obstest.CheckDocumented(t, filepath.Join("..", "..", "docs", "API.md"), "### `srcldactl` metrics", scrape.String())
+}

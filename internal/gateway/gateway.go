@@ -253,7 +253,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("GET /v1/topics", g.handleRouted)
 	g.mux.HandleFunc("GET /v1/models/{name}/topics", g.handleRouted)
 	g.mux.HandleFunc("GET /v1/models", g.handleModels)
-	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
+	g.mux.Handle("GET /metrics", obs.MetricsHandler(g.WritePrometheus))
 	g.mux.HandleFunc("GET /healthz", g.handleHealth)
 	g.mux.HandleFunc("GET /readyz", g.handleReady)
 

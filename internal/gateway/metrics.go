@@ -1,129 +1,101 @@
 package gateway
 
 import (
-	"fmt"
 	"io"
-	"net/http"
 	"sort"
+	"strconv"
 	"time"
 
 	"sourcelda/internal/obs"
 )
 
-// handleMetrics renders the gateway's Prometheus exposition: gateway-level
-// request counters and latency, then per-backend try counters, health and
-// ejection state, then process runtime gauges. Metric fields are documented
-// in docs/API.md; docs/OPERATIONS.md derives the alerting rules from them.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.WritePrometheus(w)
-}
-
-// WritePrometheus writes the /metrics body.
+// WritePrometheus writes the /metrics body: gateway-level request counters
+// and latency, then per-backend try counters, health and ejection state,
+// then process runtime gauges. docs/API.md lists the families;
+// docs/OPERATIONS.md derives the alerting rules from them.
 func (g *Gateway) WritePrometheus(w io.Writer) {
 	stats := g.StatsSnapshot()
 	infos := g.BackendInfos()
-
-	fmt.Fprintf(w, "# HELP srcldagw_backends Configured backends.\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_backends gauge\n")
-	fmt.Fprintf(w, "srcldagw_backends %d\n", len(infos))
-	avail := 0
-	for _, bi := range infos {
-		if bi.Healthy && !bi.Ejected {
-			avail++
+	x := obs.NewExposition(w)
+	// perBackend declares a family holding one integer series per backend.
+	perBackend := func(name, kind, help string, v func(BackendInfo) int64) {
+		x.Family(name, kind, help)
+		for _, bi := range infos {
+			x.Int(v(bi), "backend", bi.ID)
 		}
 	}
-	fmt.Fprintf(w, "# HELP srcldagw_backends_available Backends currently eligible for routed traffic (healthy and not ejected).\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_backends_available gauge\n")
-	fmt.Fprintf(w, "srcldagw_backends_available %d\n", avail)
-	fmt.Fprintf(w, "# HELP srcldagw_uptime_seconds Seconds since the gateway started.\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "srcldagw_uptime_seconds %g\n", time.Since(g.start).Seconds())
 
-	fmt.Fprintf(w, "# HELP srcldagw_requests_total Client-facing proxied requests by terminal HTTP status.\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_requests_total counter\n")
+	x.Family("srcldagw_backends", "gauge", "Configured backends.")
+	x.Int(int64(len(infos)))
+	var avail int64
+	for _, bi := range infos {
+		avail += flag(bi.Healthy && !bi.Ejected)
+	}
+	x.Family("srcldagw_backends_available", "gauge", "Backends currently eligible for routed traffic (healthy and not ejected).")
+	x.Int(avail)
+	x.Family("srcldagw_uptime_seconds", "gauge", "Seconds since the gateway started.")
+	x.Float(time.Since(g.start).Seconds())
+
+	x.Family("srcldagw_requests_total", "counter", "Client-facing proxied requests by terminal HTTP status.")
 	codes := make([]int, 0, len(stats.Requests))
 	for code := range stats.Requests {
 		codes = append(codes, code)
 	}
 	sort.Ints(codes)
 	for _, code := range codes {
-		fmt.Fprintf(w, "srcldagw_requests_total{code=\"%d\"} %d\n", code, stats.Requests[code])
+		x.Int(int64(stats.Requests[code]), "code", strconv.Itoa(code))
 	}
-	fmt.Fprintf(w, "# HELP srcldagw_requests_shed_total Requests rejected without a successful upstream response, by reason (rate_limit, no_backend, upstream_exhausted).\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_requests_shed_total counter\n")
-	reasons := make([]string, 0, len(stats.Shed))
-	for reason := range stats.Shed {
-		reasons = append(reasons, reason)
+	x.Family("srcldagw_requests_shed_total", "counter", "Requests rejected without a successful upstream response, by reason (rate_limit, no_backend, upstream_exhausted).")
+	for _, reason := range sortedKeys(stats.Shed) {
+		x.Int(int64(stats.Shed[reason]), "reason", reason)
 	}
-	sort.Strings(reasons)
-	for _, reason := range reasons {
-		fmt.Fprintf(w, "srcldagw_requests_shed_total{reason=%q} %d\n", reason, stats.Shed[reason])
-	}
-	fmt.Fprintf(w, "# HELP srcldagw_retries_total Extra upstream tries launched after a retryable failure.\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_retries_total counter\n")
-	fmt.Fprintf(w, "srcldagw_retries_total %d\n", stats.Retries)
-	fmt.Fprintf(w, "# HELP srcldagw_hedges_total Extra upstream tries launched by the tail-latency hedge timer.\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_hedges_total counter\n")
-	fmt.Fprintf(w, "srcldagw_hedges_total %d\n", stats.Hedges)
+	x.Family("srcldagw_retries_total", "counter", "Extra upstream tries launched after a retryable failure.")
+	x.Int(int64(stats.Retries))
+	x.Family("srcldagw_hedges_total", "counter", "Extra upstream tries launched by the tail-latency hedge timer.")
+	x.Int(int64(stats.Hedges))
 
-	fmt.Fprintf(w, "# HELP srcldagw_request_latency_seconds End-to-end client request latency through the gateway.\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_request_latency_seconds histogram\n")
-	stats.Latency.WritePrometheus(w, "srcldagw_request_latency_seconds", "")
-	fmt.Fprintf(w, "# HELP srcldagw_stage_latency_seconds Gateway-overhead portion of request latency (total minus winning upstream try).\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_stage_latency_seconds histogram\n")
-	stats.GatewayStage.WritePrometheus(w, "srcldagw_stage_latency_seconds",
-		fmt.Sprintf("stage=%q", obs.StageGateway.String()))
+	x.Family("srcldagw_request_latency_seconds", "histogram", "End-to-end client request latency through the gateway.")
+	x.Histogram(stats.Latency)
+	x.Family("srcldagw_stage_latency_seconds", "histogram", "Gateway-overhead portion of request latency (total minus winning upstream try).")
+	x.Histogram(stats.GatewayStage, "stage", obs.StageGateway.String())
 
-	fmt.Fprintf(w, "# HELP srcldagw_backend_requests_total Upstream tries by backend and terminal code (HTTP status, or error/timeout/canceled for transport outcomes).\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_backend_requests_total counter\n")
+	x.Family("srcldagw_backend_requests_total", "counter", "Upstream tries by backend and terminal code (HTTP status, or error/timeout/canceled for transport outcomes).")
 	for _, bi := range infos {
-		tryCodes := make([]string, 0, len(bi.ByCode))
-		for code := range bi.ByCode {
-			tryCodes = append(tryCodes, code)
-		}
-		sort.Strings(tryCodes)
-		for _, code := range tryCodes {
-			fmt.Fprintf(w, "srcldagw_backend_requests_total{backend=%q,code=%q} %d\n", bi.ID, code, bi.ByCode[code])
+		for _, code := range sortedKeys(bi.ByCode) {
+			x.Int(int64(bi.ByCode[code]), "backend", bi.ID, "code", code)
 		}
 	}
-	fmt.Fprintf(w, "# HELP srcldagw_backend_ejections_total Passive outlier ejections of the backend.\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_backend_ejections_total counter\n")
+	perBackend("srcldagw_backend_ejections_total", "counter", "Passive outlier ejections of the backend.",
+		func(bi BackendInfo) int64 { return int64(bi.Ejections) })
+	perBackend("srcldagw_backend_probe_failures_total", "counter", "Failed active health probes of the backend.",
+		func(bi BackendInfo) int64 { return int64(bi.ProbeFailures) })
+	perBackend("srcldagw_backend_healthy", "gauge", "Active health-probe verdict (1 healthy, 0 unhealthy).",
+		func(bi BackendInfo) int64 { return flag(bi.Healthy) })
+	perBackend("srcldagw_backend_ejected", "gauge", "Passive-ejection state (1 inside an ejection window).",
+		func(bi BackendInfo) int64 { return flag(bi.Ejected) })
+	perBackend("srcldagw_backend_inflight", "gauge", "Upstream tries currently in flight to the backend.",
+		func(bi BackendInfo) int64 { return int64(bi.Inflight) })
+	x.Family("srcldagw_backend_latency_seconds", "histogram", "Upstream try latency by backend.")
 	for _, bi := range infos {
-		fmt.Fprintf(w, "srcldagw_backend_ejections_total{backend=%q} %d\n", bi.ID, bi.Ejections)
-	}
-	fmt.Fprintf(w, "# HELP srcldagw_backend_probe_failures_total Failed active health probes of the backend.\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_backend_probe_failures_total counter\n")
-	for _, bi := range infos {
-		fmt.Fprintf(w, "srcldagw_backend_probe_failures_total{backend=%q} %d\n", bi.ID, bi.ProbeFailures)
-	}
-	fmt.Fprintf(w, "# HELP srcldagw_backend_healthy Active health-probe verdict (1 healthy, 0 unhealthy).\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_backend_healthy gauge\n")
-	for _, bi := range infos {
-		v := 0
-		if bi.Healthy {
-			v = 1
-		}
-		fmt.Fprintf(w, "srcldagw_backend_healthy{backend=%q} %d\n", bi.ID, v)
-	}
-	fmt.Fprintf(w, "# HELP srcldagw_backend_ejected Passive-ejection state (1 inside an ejection window).\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_backend_ejected gauge\n")
-	for _, bi := range infos {
-		v := 0
-		if bi.Ejected {
-			v = 1
-		}
-		fmt.Fprintf(w, "srcldagw_backend_ejected{backend=%q} %d\n", bi.ID, v)
-	}
-	fmt.Fprintf(w, "# HELP srcldagw_backend_inflight Upstream tries currently in flight to the backend.\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_backend_inflight gauge\n")
-	for _, bi := range infos {
-		fmt.Fprintf(w, "srcldagw_backend_inflight{backend=%q} %d\n", bi.ID, bi.Inflight)
-	}
-	fmt.Fprintf(w, "# HELP srcldagw_backend_latency_seconds Upstream try latency by backend.\n")
-	fmt.Fprintf(w, "# TYPE srcldagw_backend_latency_seconds histogram\n")
-	for _, bi := range infos {
-		bi.Latency.WritePrometheus(w, "srcldagw_backend_latency_seconds", fmt.Sprintf("backend=%q", bi.ID))
+		x.Histogram(bi.Latency, "backend", bi.ID)
 	}
 	obs.WriteRuntimeMetrics(w, "srcldagw", 0)
+}
+
+// flag renders a boolean gauge.
+func flag(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// sortedKeys fixes the series order of a string-keyed counter map.
+func sortedKeys(m map[string]uint64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,4 +77,31 @@ func TestGoldenGatewayScrape(t *testing.T) {
 	text := scrape(t, populated(t, "r1", "r2", "r3"))
 	obstest.CheckExposition(t, text)
 	obstest.CheckGolden(t, filepath.Join("testdata", "gateway.metrics"), obstest.MaskVolatile(text))
+}
+
+// TestBackendIDLabelEscaping: New accepts any non-empty backend ID and
+// -backends only trims its ends, so an ID may hold a tab, a quote or a
+// backslash. The label value must use the exposition format's escapes (\\,
+// \", \n and nothing else — a tab stays a tab), not Go's %q, which a
+// Prometheus parser rejects.
+func TestBackendIDLabelEscaping(t *testing.T) {
+	text := scrape(t, populated(t, "r\t1", `q"b\c`, "line\nfeed"))
+	obstest.CheckExposition(t, text)
+	for _, want := range []string{
+		"srcldagw_backend_inflight{backend=\"r\t1\"} 2\n",
+		`srcldagw_backend_ejected{backend="q\"b\\c"} 1` + "\n",
+		`srcldagw_backend_healthy{backend="line\nfeed"} 0` + "\n",
+		`srcldagw_backend_latency_seconds_bucket{backend="q\"b\\c",le="+Inf"} 3` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("scrape is missing %q", want)
+		}
+	}
+}
+
+// TestMetricsDocumented diffs the families srcldagw renders against the
+// table in docs/API.md.
+func TestMetricsDocumented(t *testing.T) {
+	obstest.CheckDocumented(t, filepath.Join("..", "..", "docs", "API.md"), "### `srcldagw` metrics",
+		scrape(t, populated(t, "r1", "r2", "r3")))
 }

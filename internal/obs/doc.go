@@ -16,12 +16,19 @@
 //     through the request lifecycle in the context, and accumulates
 //     per-stage durations (inference → render) that the access log and the
 //     per-stage histograms report.
-//   - Histogram is a lock-free fixed-bucket histogram rendered in the
-//     Prometheus exposition format — the replacement for sampled quantile
-//     windows, which silently degrade under sustained load.
+//   - Histogram is a lock-free fixed-bucket histogram — the replacement
+//     for sampled quantile windows, which silently degrade under sustained
+//     load.
+//   - Exposition is the one writer of the Prometheus text format: every
+//     /metrics body in the repository (srcldad, srcldagw, srcldactl,
+//     srclda, /debug/runtime) is a list of Family declarations followed by
+//     Int, Float and Histogram samples, served through MetricsHandler. It
+//     owns label escaping and the histogram series layout; it is not a
+//     metric registry — counters stay with the code that collects them.
 //   - TrainingRecorder emits one structured JSONL event per Gibbs sweep
 //     (log-likelihood, tokens/sec, sweep wall time, checkpoint latency)
-//     and doubles as a live Prometheus endpoint for long training chains.
+//     through EventLog — the sink dtrain.Metrics shares — and renders the
+//     latest sweep as live Prometheus gauges for long training chains.
 //   - ServeDebug starts the opt-in -debug-addr listener every command
 //     shares: NewDebugMux's net/http/pprof handlers plus the
 //     WriteRuntimeMetrics gauges (goroutines, heap, mapped-bundle bytes).

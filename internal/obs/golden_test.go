@@ -50,3 +50,15 @@ func TestGoldenTrainerScrape(t *testing.T) {
 	}
 	obstest.CheckGolden(t, filepath.Join("testdata", "sweeps.jsonl"), events.String())
 }
+
+// TestMetricsDocumented diffs the families srclda renders after a sweep that
+// carried a likelihood and a checkpoint — the two optional families —
+// against the table in docs/API.md.
+func TestMetricsDocumented(t *testing.T) {
+	r := NewTrainingRecorder(nil)
+	v := 1.0
+	r.Record(SweepEvent{Sweep: 1, LogLikelihood: &v, CheckpointSeconds: &v})
+	var scrape bytes.Buffer
+	r.WritePrometheus(&scrape)
+	obstest.CheckDocumented(t, filepath.Join("..", "..", "docs", "API.md"), "### `srclda` metrics", scrape.String())
+}

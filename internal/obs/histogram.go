@@ -1,12 +1,8 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 )
 
@@ -25,13 +21,12 @@ func DefaultLatencyBuckets() []float64 {
 
 // Histogram is a fixed-bucket histogram safe for concurrent Observe with no
 // locks on the hot path: per-bucket atomic counters plus an atomic
-// float64-bits sum. Rendering produces Prometheus histogram series
-// (cumulative _bucket lines, _sum, _count).
+// float64-bits sum. Exposition.Histogram renders a snapshot as Prometheus
+// histogram series (cumulative _bucket lines, _sum, _count).
 type Histogram struct {
 	bounds []float64       // ascending upper bounds; +Inf bucket is implicit
 	counts []atomic.Uint64 // len(bounds)+1, per-bucket (non-cumulative)
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	sum    atomic.Uint64   // float64 bits, CAS-accumulated
 }
 
 // NewHistogram builds a histogram over the given ascending upper bounds.
@@ -53,7 +48,6 @@ func (h *Histogram) Observe(v float64) {
 	// compares.
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -90,9 +84,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Quantile estimates the p-quantile (0 < p <= 1) by linear interpolation
 // within the containing bucket — the same estimate PromQL's
 // histogram_quantile computes. Returns 0 for an empty histogram; values in
@@ -116,37 +107,4 @@ func (s HistogramSnapshot) Quantile(p float64) float64 {
 		lo, prev = bound, c
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// WritePrometheus renders the snapshot as one Prometheus histogram series.
-// labels is the rendered label set without braces (e.g. `model="news"`),
-// "" for none; the le label is appended to it on _bucket lines.
-func (s HistogramSnapshot) WritePrometheus(w io.Writer, name, labels string) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	for i, bound := range s.Bounds {
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, formatBound(bound), s.Cumulative[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Count)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, s.Sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
-		return
-	}
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, s.Sum)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, s.Count)
-}
-
-// formatBound renders a bucket bound the way Prometheus clients do:
-// shortest decimal form, no exponent for the magnitudes bucket bounds use.
-func formatBound(b float64) string {
-	out := strconv.FormatFloat(b, 'f', -1, 64)
-	// Guard against pathological custom bounds rendering very long; default
-	// bounds are all short.
-	if len(out) > 24 {
-		out = strings.TrimRight(strconv.FormatFloat(b, 'f', 9, 64), "0")
-	}
-	return out
 }

@@ -183,7 +183,9 @@ func TestHistogramPrometheusRendering(t *testing.T) {
 	h.Observe(0.25)
 	h.Observe(2)
 	var buf bytes.Buffer
-	h.Snapshot().WritePrometheus(&buf, "x_seconds", `model="m"`)
+	x := NewExposition(&buf)
+	x.Family("x_seconds", "histogram", "X.")
+	x.Histogram(h.Snapshot(), "model", "m")
 	out := buf.String()
 	for _, want := range []string{
 		`x_seconds_bucket{model="m",le="0.5"} 1`,
@@ -198,7 +200,8 @@ func TestHistogramPrometheusRendering(t *testing.T) {
 	}
 
 	buf.Reset()
-	h.Snapshot().WritePrometheus(&buf, "y_seconds", "")
+	x.Family("y_seconds", "histogram", "Y.")
+	x.Histogram(h.Snapshot())
 	if !strings.Contains(buf.String(), `y_seconds_bucket{le="0.5"} 1`) || !strings.Contains(buf.String(), "y_seconds_count 2") {
 		t.Fatalf("unlabeled rendering wrong:\n%s", buf.String())
 	}
@@ -273,7 +276,10 @@ func TestTrainingRecorderJSONL(t *testing.T) {
 	}
 
 	rr := httptest.NewRecorder()
-	r.MetricsHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	MetricsHandler(r.WritePrometheus).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	if ct := rr.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Fatalf("Content-Type %q", ct)
+	}
 	body := rr.Body.String()
 	obstest.CheckExposition(t, body)
 	for _, want := range []string{
@@ -314,6 +320,9 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	}
 	rr := httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/runtime", nil))
+	if ct := rr.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Fatalf("Content-Type %q", ct)
+	}
 	obstest.CheckExposition(t, rr.Body.String())
 	if !strings.Contains(rr.Body.String(), "test_mapped_bundle_bytes 4096") {
 		t.Fatalf("runtime metrics missing mapped bytes:\n%s", rr.Body.String())

@@ -12,7 +12,8 @@ import (
 
 // CheckExposition fails the test unless text is a well-formed exposition:
 // every sample's family is declared before it by exactly one # HELP and one
-// # TYPE line, no family is declared twice, and every histogram series has
+// # TYPE line, no family is declared twice, label values use no escape but
+// the format's three (\\, \", \n), and every histogram series has
 // non-decreasing _bucket counts ending in a le="+Inf" bucket equal to its
 // _count.
 func CheckExposition(t testing.TB, text string) {
@@ -46,6 +47,9 @@ func CheckExposition(t testing.TB, text string) {
 			if !ok {
 				t.Errorf("line %d: unparseable sample %q", n, line)
 				continue
+			}
+			if esc := foreignEscape(labels); esc != "" {
+				t.Errorf("line %d: label value escape %s is not one of \\\\, \\\", \\n", n, esc)
 			}
 			family, suffix := name, ""
 			for _, sfx := range []string{"_bucket", "_sum", "_count"} {
@@ -126,6 +130,22 @@ func parseSample(line string) (name, labels string, value float64, ok bool) {
 	}
 	value, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 	return name, labels, value, err == nil
+}
+
+// foreignEscape returns the first backslash escape in a label set that the
+// exposition format does not define — what Go's %q writes for a tab or a
+// control byte, and a Prometheus parser rejects — or "".
+func foreignEscape(labels string) string {
+	for i := 0; i+1 < len(labels); i++ {
+		if labels[i] != '\\' {
+			continue
+		}
+		if c := labels[i+1]; c != '\\' && c != '"' && c != 'n' {
+			return labels[i : i+2]
+		}
+		i++
+	}
+	return ""
 }
 
 // splitLE takes the le label — which the renderers always write last — off

@@ -21,6 +21,7 @@ func (c *capture) Errorf(format string, args ...any) {
 const good = `# HELP x_total Things.
 # TYPE x_total counter
 x_total{model="a b}",code="200"} 3
+x_total{model="q\"b\\n\n",code="200"} 4
 # HELP x_empty_total A family with no sample yet.
 # TYPE x_empty_total counter
 # HELP x_seconds Latency.
@@ -48,6 +49,7 @@ func TestCheckExposition(t *testing.T) {
 		{"decreasing buckets", strings.Replace(good, `x_seconds_bucket{model="m",le="0.1"} 1`, `x_seconds_bucket{model="m",le="0.1"} 5`, 1), "fewer than"},
 		{"inf differs from count", strings.Replace(good, `x_seconds_count{model="m"} 2`, `x_seconds_count{model="m"} 3`, 1), "_count 3"},
 		{"no inf bucket", strings.Replace(good, "x_seconds_bucket{le=\"+Inf\"} 0\n", "", 1), "want +Inf"},
+		{"go escape", strings.Replace(good, `model="a b}"`, `model="a\tb}"`, 1), `escape \t`},
 		{"garbage", good + "x_total{model=\"open 3\n", "unparseable"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -18,22 +17,18 @@ import (
 func WriteRuntimeMetrics(w io.Writer, prefix string, mappedBytes int64) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(w, "# HELP %s_goroutines Current number of goroutines.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_goroutines gauge\n", prefix)
-	fmt.Fprintf(w, "%s_goroutines %d\n", prefix, runtime.NumGoroutine())
-	fmt.Fprintf(w, "# HELP %s_heap_alloc_bytes Bytes of allocated heap objects.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_heap_alloc_bytes gauge\n", prefix)
-	fmt.Fprintf(w, "%s_heap_alloc_bytes %d\n", prefix, ms.HeapAlloc)
-	fmt.Fprintf(w, "# HELP %s_heap_sys_bytes Bytes of heap obtained from the OS.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_heap_sys_bytes gauge\n", prefix)
-	fmt.Fprintf(w, "%s_heap_sys_bytes %d\n", prefix, ms.HeapSys)
-	fmt.Fprintf(w, "# HELP %s_gc_cycles_total Completed GC cycles.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_gc_cycles_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_gc_cycles_total %d\n", prefix, ms.NumGC)
+	x := NewExposition(w)
+	x.Family(prefix+"_goroutines", "gauge", "Current number of goroutines.")
+	x.Int(int64(runtime.NumGoroutine()))
+	x.Family(prefix+"_heap_alloc_bytes", "gauge", "Bytes of allocated heap objects.")
+	x.Int(int64(ms.HeapAlloc))
+	x.Family(prefix+"_heap_sys_bytes", "gauge", "Bytes of heap obtained from the OS.")
+	x.Int(int64(ms.HeapSys))
+	x.Family(prefix+"_gc_cycles_total", "counter", "Completed GC cycles.")
+	x.Int(int64(ms.NumGC))
 	if mappedBytes >= 0 {
-		fmt.Fprintf(w, "# HELP %s_mapped_bundle_bytes Bytes of model bundles currently memory-mapped.\n", prefix)
-		fmt.Fprintf(w, "# TYPE %s_mapped_bundle_bytes gauge\n", prefix)
-		fmt.Fprintf(w, "%s_mapped_bundle_bytes %d\n", prefix, mappedBytes)
+		x.Family(prefix+"_mapped_bundle_bytes", "gauge", "Bytes of model bundles currently memory-mapped.")
+		x.Int(mappedBytes)
 	}
 }
 
@@ -51,12 +46,10 @@ func NewDebugMux(runtimeMetrics func(io.Writer)) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/runtime", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if runtimeMetrics != nil {
-			runtimeMetrics(w)
-		}
-	})
+	if runtimeMetrics == nil {
+		runtimeMetrics = func(io.Writer) {}
+	}
+	mux.Handle("/debug/runtime", MetricsHandler(runtimeMetrics))
 	return mux
 }
 

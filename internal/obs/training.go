@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"net/http"
 	"sync"
 	"time"
 )
@@ -37,27 +34,26 @@ type SweepEvent struct {
 }
 
 // TrainingRecorder turns per-sweep training progress into two surfaces: a
-// JSONL event log (one SweepEvent per line) and a live Prometheus endpoint
-// (MetricsHandler) exposing the latest sweep's gauges, so a multi-hour
-// chain is monitorable in flight without parsing its log. A nil recorder
-// is valid and records nothing.
+// JSONL event log (one SweepEvent per line) and a live Prometheus body
+// (WritePrometheus, served through MetricsHandler) exposing the latest
+// sweep's gauges, so a multi-hour chain is monitorable in flight without
+// parsing its log. A nil recorder is valid and records nothing.
 type TrainingRecorder struct {
 	mu     sync.Mutex
-	out    io.Writer // JSONL sink; may be nil (metrics only)
+	log    EventLog // JSONL sink; Out may be nil (metrics only)
 	last   SweepEvent
 	sweeps uint64
 	ckpts  uint64
-	err    error // first write error, reported once by Err
 }
 
 // NewTrainingRecorder builds a recorder writing JSONL events to out. out
 // may be nil when only the Prometheus surface is wanted.
 func NewTrainingRecorder(out io.Writer) *TrainingRecorder {
-	return &TrainingRecorder{out: out}
+	return &TrainingRecorder{log: EventLog{Out: out}}
 }
 
 // Record appends one sweep event to the JSONL log and updates the gauges
-// served by MetricsHandler. Safe for concurrent use; nil-safe.
+// WritePrometheus renders. Safe for concurrent use; nil-safe.
 func (r *TrainingRecorder) Record(ev SweepEvent) {
 	if r == nil {
 		return
@@ -69,17 +65,7 @@ func (r *TrainingRecorder) Record(ev SweepEvent) {
 	if ev.CheckpointSeconds != nil {
 		r.ckpts++
 	}
-	if r.out == nil {
-		return
-	}
-	b, err := json.Marshal(ev)
-	if err == nil {
-		b = append(b, '\n')
-		_, err = r.out.Write(b)
-	}
-	if err != nil && r.err == nil {
-		r.err = err
-	}
+	r.log.Append(ev)
 }
 
 // Err returns the first JSONL write error, if any — telemetry must never
@@ -91,7 +77,7 @@ func (r *TrainingRecorder) Err() error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.err
+	return r.log.Err()
 }
 
 // WritePrometheus renders the latest sweep's state as srclda_* gauges plus
@@ -104,42 +90,26 @@ func (r *TrainingRecorder) WritePrometheus(w io.Writer) {
 	last, sweeps, ckpts := r.last, r.sweeps, r.ckpts
 	r.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP srclda_sweep Last completed sweep index (1-based).\n")
-	fmt.Fprintf(w, "# TYPE srclda_sweep gauge\n")
-	fmt.Fprintf(w, "srclda_sweep %d\n", last.Sweep)
-	fmt.Fprintf(w, "# HELP srclda_total_sweeps Configured chain length.\n")
-	fmt.Fprintf(w, "# TYPE srclda_total_sweeps gauge\n")
-	fmt.Fprintf(w, "srclda_total_sweeps %d\n", last.TotalSweeps)
-	fmt.Fprintf(w, "# HELP srclda_sweeps_total Sweeps completed by this process.\n")
-	fmt.Fprintf(w, "# TYPE srclda_sweeps_total counter\n")
-	fmt.Fprintf(w, "srclda_sweeps_total %d\n", sweeps)
+	x := NewExposition(w)
+	x.Family("srclda_sweep", "gauge", "Last completed sweep index (1-based).")
+	x.Int(int64(last.Sweep))
+	x.Family("srclda_total_sweeps", "gauge", "Configured chain length.")
+	x.Int(int64(last.TotalSweeps))
+	x.Family("srclda_sweeps_total", "counter", "Sweeps completed by this process.")
+	x.Int(int64(sweeps))
 	if last.LogLikelihood != nil {
-		fmt.Fprintf(w, "# HELP srclda_log_likelihood Model log-likelihood after the last sweep.\n")
-		fmt.Fprintf(w, "# TYPE srclda_log_likelihood gauge\n")
-		fmt.Fprintf(w, "srclda_log_likelihood %g\n", *last.LogLikelihood)
+		x.Family("srclda_log_likelihood", "gauge", "Model log-likelihood after the last sweep.")
+		x.Float(*last.LogLikelihood)
 	}
-	fmt.Fprintf(w, "# HELP srclda_tokens_per_sec Sampling throughput of the last sweep.\n")
-	fmt.Fprintf(w, "# TYPE srclda_tokens_per_sec gauge\n")
-	fmt.Fprintf(w, "srclda_tokens_per_sec %g\n", last.TokensPerSec)
-	fmt.Fprintf(w, "# HELP srclda_sweep_seconds Wall time of the last sweep.\n")
-	fmt.Fprintf(w, "# TYPE srclda_sweep_seconds gauge\n")
-	fmt.Fprintf(w, "srclda_sweep_seconds %g\n", last.SweepSeconds)
-	fmt.Fprintf(w, "# HELP srclda_checkpoints_total Checkpoints written by this process.\n")
-	fmt.Fprintf(w, "# TYPE srclda_checkpoints_total counter\n")
-	fmt.Fprintf(w, "srclda_checkpoints_total %d\n", ckpts)
+	x.Family("srclda_tokens_per_sec", "gauge", "Sampling throughput of the last sweep.")
+	x.Float(last.TokensPerSec)
+	x.Family("srclda_sweep_seconds", "gauge", "Wall time of the last sweep.")
+	x.Float(last.SweepSeconds)
+	x.Family("srclda_checkpoints_total", "counter", "Checkpoints written by this process.")
+	x.Int(int64(ckpts))
 	if last.CheckpointSeconds != nil {
-		fmt.Fprintf(w, "# HELP srclda_checkpoint_seconds Write latency of the last checkpoint.\n")
-		fmt.Fprintf(w, "# TYPE srclda_checkpoint_seconds gauge\n")
-		fmt.Fprintf(w, "srclda_checkpoint_seconds %g\n", *last.CheckpointSeconds)
+		x.Family("srclda_checkpoint_seconds", "gauge", "Write latency of the last checkpoint.")
+		x.Float(*last.CheckpointSeconds)
 	}
 	WriteRuntimeMetrics(w, "srclda", -1)
-}
-
-// MetricsHandler serves WritePrometheus over HTTP — the body behind the
-// trainer's -metrics-addr listener.
-func (r *TrainingRecorder) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
-	})
 }

@@ -90,6 +90,20 @@ func TestGoldenServingScrape(t *testing.T) {
 // TestGoldenLearnerScrape is the same pin with a learner attached: the
 // srcldad_feed_* families render after the serving ones.
 func TestGoldenLearnerScrape(t *testing.T) {
+	text := learnerScrape(t)
+	obstest.CheckExposition(t, text)
+	obstest.CheckGolden(t, filepath.Join("testdata", "learner.metrics"), obstest.MaskVolatile(text))
+}
+
+// TestMetricsDocumented diffs the families srcldad renders — a learner
+// attached, so the feed families are among them — against the table in
+// docs/API.md.
+func TestMetricsDocumented(t *testing.T) {
+	obstest.CheckDocumented(t, filepath.Join("..", "..", "docs", "API.md"), "## GET /metrics", learnerScrape(t))
+}
+
+func learnerScrape(t *testing.T) string {
+	t.Helper()
 	reg := newTestRegistry(t, Config{QueueSize: 32})
 	populateServing(t, reg)
 	if err := reg.AttachLearner("learn", fitLearnRuntime(t, 21), LearnerConfig{
@@ -107,9 +121,7 @@ func TestGoldenLearnerScrape(t *testing.T) {
 	for _, ms := range []int{4, 30, 30, 260} {
 		l.updateLatency.Observe((time.Duration(ms) * time.Millisecond).Seconds())
 	}
-	text := scrape(t, newHTTPServer(t, reg))
-	obstest.CheckExposition(t, text)
-	obstest.CheckGolden(t, filepath.Join("testdata", "learner.metrics"), obstest.MaskVolatile(text))
+	return scrape(t, newHTTPServer(t, reg))
 }
 
 // TestGoldenResponses pins the /v1/infer and /v1/topics bodies of the

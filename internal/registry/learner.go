@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -204,16 +206,8 @@ func (r *Registry) FeedInfos() []FeedInfo {
 	for i, l := range ls {
 		out[i] = l.snapshot()
 	}
-	sortFeedInfos(out)
+	slices.SortFunc(out, func(a, b FeedInfo) int { return strings.Compare(a.Model, b.Model) })
 	return out
-}
-
-func sortFeedInfos(fi []FeedInfo) {
-	for i := 1; i < len(fi); i++ {
-		for j := i; j > 0 && fi[j].Model < fi[j-1].Model; j-- {
-			fi[j], fi[j-1] = fi[j-1], fi[j]
-		}
-	}
 }
 
 // FeedInfo snapshots the named model's learner ("" = default).

@@ -1,9 +1,9 @@
 package registry
 
 import (
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -121,19 +121,24 @@ func (m *modelMetrics) snapshot() MetricsSnapshot {
 
 // WritePrometheus renders every model's serving metrics, plus process-level
 // gauges, in the Prometheus text exposition format — the body of the
-// daemon's GET /metrics. Metric fields are documented in docs/API.md.
+// daemon's GET /metrics. The families are documented in docs/API.md.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	infos := r.ListInfo()
+	x := obs.NewExposition(w)
+	// perModel declares a family holding one integer series per model.
+	perModel := func(name, kind, help string, v func(ModelInfo) int64) {
+		x.Family(name, kind, help)
+		for _, mi := range infos {
+			x.Int(v(mi), "model", mi.Name)
+		}
+	}
 
-	fmt.Fprintf(w, "# HELP srcldad_models_loaded Number of models currently loaded.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_models_loaded gauge\n")
-	fmt.Fprintf(w, "srcldad_models_loaded %d\n", len(infos))
-	fmt.Fprintf(w, "# HELP srcldad_uptime_seconds Seconds since the registry started.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "srcldad_uptime_seconds %g\n", time.Since(r.start).Seconds())
+	x.Family("srcldad_models_loaded", "gauge", "Number of models currently loaded.")
+	x.Int(int64(len(infos)))
+	x.Family("srcldad_uptime_seconds", "gauge", "Seconds since the registry started.")
+	x.Float(time.Since(r.start).Seconds())
 
-	fmt.Fprintf(w, "# HELP srcldad_requests_total Inference requests by model and terminal HTTP status.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_requests_total counter\n")
+	x.Family("srcldad_requests_total", "counter", "Inference requests by model and terminal HTTP status.")
 	for _, mi := range infos {
 		codes := make([]int, 0, len(mi.Stats.ByCode))
 		for code := range mi.Stats.ByCode {
@@ -141,64 +146,44 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		}
 		sort.Ints(codes)
 		for _, code := range codes {
-			fmt.Fprintf(w, "srcldad_requests_total{model=%q,code=\"%d\"} %d\n", mi.Name, code, mi.Stats.ByCode[code])
+			x.Int(int64(mi.Stats.ByCode[code]), "model", mi.Name, "code", strconv.Itoa(code))
 		}
 	}
-	fmt.Fprintf(w, "# HELP srcldad_requests_shed_total Inference requests rejected with 503 because they would have exceeded the model's in-flight document bound.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_requests_shed_total counter\n")
+	perModel("srcldad_requests_shed_total", "counter", "Inference requests rejected with 503 because they would have exceeded the model's in-flight document bound.",
+		func(mi ModelInfo) int64 { return int64(mi.Stats.Shed) })
+	perModel("srcldad_queue_depth", "gauge", "Documents admitted and not yet answered.",
+		func(mi ModelInfo) int64 { return int64(mi.QueueDepth) })
+	perModel("srcldad_queue_capacity", "gauge", "Bound on the model's in-flight documents; a request that would exceed it is shed.",
+		func(mi ModelInfo) int64 { return int64(mi.QueueCapacity) })
+	perModel("srcldad_open_sessions", "gauge", "Inference sessions not yet fully drained (1 in steady state, 2+ during a hot swap).",
+		func(mi ModelInfo) int64 { return int64(mi.OpenSessions) })
+	perModel("srcldad_model_swaps_total", "counter", "Hot swaps of the model's active version.",
+		func(mi ModelInfo) int64 { return int64(mi.Stats.Swaps) })
+	x.Family("srcldad_request_latency_seconds", "histogram", "End-to-end inference request latency.")
 	for _, mi := range infos {
-		fmt.Fprintf(w, "srcldad_requests_shed_total{model=%q} %d\n", mi.Name, mi.Stats.Shed)
+		x.Histogram(mi.Stats.Latency, "model", mi.Name)
 	}
-	fmt.Fprintf(w, "# HELP srcldad_queue_depth Documents admitted and not yet answered.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_queue_depth gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "srcldad_queue_depth{model=%q} %d\n", mi.Name, mi.QueueDepth)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_queue_capacity Bound on the model's in-flight documents; a request that would exceed it is shed.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_queue_capacity gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "srcldad_queue_capacity{model=%q} %d\n", mi.Name, mi.QueueCapacity)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_open_sessions Inference sessions not yet fully drained (1 in steady state, 2+ during a hot swap).\n")
-	fmt.Fprintf(w, "# TYPE srcldad_open_sessions gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "srcldad_open_sessions{model=%q} %d\n", mi.Name, mi.OpenSessions)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_model_swaps_total Hot swaps of the model's active version.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_model_swaps_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "srcldad_model_swaps_total{model=%q} %d\n", mi.Name, mi.Stats.Swaps)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_request_latency_seconds End-to-end inference request latency.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_request_latency_seconds histogram\n")
-	for _, mi := range infos {
-		mi.Stats.Latency.WritePrometheus(w, "srcldad_request_latency_seconds", fmt.Sprintf("model=%q", mi.Name))
-	}
-	fmt.Fprintf(w, "# HELP srcldad_stage_latency_seconds Per-document inference time (infer) and per-request render time (render).\n")
-	fmt.Fprintf(w, "# TYPE srcldad_stage_latency_seconds histogram\n")
+	x.Family("srcldad_stage_latency_seconds", "histogram", "Per-document inference time (infer) and per-request render time (render).")
 	for _, mi := range infos {
 		// Only the replica-side stages render here; obs.StageGateway is
 		// recorded by srcldagw against its own metrics and would be a
 		// permanently empty series on a replica scrape.
 		for _, stage := range obs.ServingStages() {
-			mi.Stats.Stages[stage].WritePrometheus(w, "srcldad_stage_latency_seconds",
-				fmt.Sprintf("model=%q,stage=%q", mi.Name, stage.String()))
+			x.Histogram(mi.Stats.Stages[stage], "model", mi.Name, "stage", stage.String())
 		}
 	}
-	fmt.Fprintf(w, "# HELP srcldad_watcher_load_failures_total Bundle files the directory watcher failed to load, by model name.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_watcher_load_failures_total counter\n")
+	x.Family("srcldad_watcher_load_failures_total", "counter", "Bundle files the directory watcher failed to load, by model name.")
 	for _, wf := range r.watcherFailures() {
-		fmt.Fprintf(w, "srcldad_watcher_load_failures_total{model=%q} %d\n", wf.name, wf.count)
+		x.Int(int64(wf.count), "model", wf.name)
 	}
-	fmt.Fprintf(w, "# HELP srcldad_model_mapped_bytes Bytes of bundle file memory-mapped for the model (0 for heap-backed models).\n")
-	fmt.Fprintf(w, "# TYPE srcldad_model_mapped_bytes gauge\n")
+	perModel("srcldad_model_mapped_bytes", "gauge", "Bytes of bundle file memory-mapped for the model (0 for heap-backed models).",
+		func(mi ModelInfo) int64 { return mi.MappedBytes })
+	if feeds := r.FeedInfos(); len(feeds) > 0 {
+		writeFeedMetrics(x, feeds)
+	}
 	var totalMapped int64
 	for _, mi := range infos {
 		totalMapped += mi.MappedBytes
-		fmt.Fprintf(w, "srcldad_model_mapped_bytes{model=%q} %d\n", mi.Name, mi.MappedBytes)
-	}
-	if feeds := r.FeedInfos(); len(feeds) > 0 {
-		writeFeedMetrics(w, feeds)
 	}
 	obs.WriteRuntimeMetrics(w, "srcldad", totalMapped)
 }
@@ -206,50 +191,31 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 // writeFeedMetrics renders the continuous-learning series for every model
 // with a learner attached. Rendered only when at least one learner exists:
 // a pure serving replica's scrape stays byte-identical to earlier releases.
-func writeFeedMetrics(w io.Writer, feeds []FeedInfo) {
-	fmt.Fprintf(w, "# HELP srcldad_feed_docs_total Fed documents appended to the model's learning chain.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_feed_docs_total counter\n")
-	for _, fi := range feeds {
-		fmt.Fprintf(w, "srcldad_feed_docs_total{model=%q} %d\n", fi.Model, fi.Docs)
+func writeFeedMetrics(x *obs.Exposition, feeds []FeedInfo) {
+	perFeed := func(name, kind, help string, v func(FeedInfo) uint64) {
+		x.Family(name, kind, help)
+		for _, fi := range feeds {
+			x.Int(int64(v(fi)), "model", fi.Model)
+		}
 	}
-	fmt.Fprintf(w, "# HELP srcldad_feed_dropped_total Fed documents skipped for having no tokens in the model vocabulary.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_feed_dropped_total counter\n")
+	perFeed("srcldad_feed_docs_total", "counter", "Fed documents appended to the model's learning chain.",
+		func(fi FeedInfo) uint64 { return fi.Docs })
+	perFeed("srcldad_feed_dropped_total", "counter", "Fed documents skipped for having no tokens in the model vocabulary.",
+		func(fi FeedInfo) uint64 { return fi.Dropped })
+	perFeed("srcldad_feed_shed_total", "counter", "Fed documents rejected with 429 because the ingest queue was full.",
+		func(fi FeedInfo) uint64 { return fi.Shed })
+	perFeed("srcldad_feed_republish_total", "counter", "Bundle versions republished from the learning chain.",
+		func(fi FeedInfo) uint64 { return fi.Republishes })
+	perFeed("srcldad_feed_compactions_total", "counter", "Compaction retrains of the learning chain.",
+		func(fi FeedInfo) uint64 { return fi.Compactions })
+	perFeed("srcldad_feed_queue_depth", "gauge", "Fed documents accepted but not yet folded into the chain.",
+		func(fi FeedInfo) uint64 { return uint64(fi.QueueDepth) })
+	perFeed("srcldad_feed_queue_capacity", "gauge", "Bound of the model's feed ingest queue.",
+		func(fi FeedInfo) uint64 { return uint64(fi.QueueCapacity) })
+	perFeed("srcldad_feed_chain_docs", "gauge", "Documents in the model's learning chain (training corpus plus appended).",
+		func(fi FeedInfo) uint64 { return uint64(fi.ChainDocs) })
+	x.Family("srcldad_feed_update_seconds", "histogram", "Latency of folding one accepted feed batch into the chain.")
 	for _, fi := range feeds {
-		fmt.Fprintf(w, "srcldad_feed_dropped_total{model=%q} %d\n", fi.Model, fi.Dropped)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_feed_shed_total Fed documents rejected with 429 because the ingest queue was full.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_feed_shed_total counter\n")
-	for _, fi := range feeds {
-		fmt.Fprintf(w, "srcldad_feed_shed_total{model=%q} %d\n", fi.Model, fi.Shed)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_feed_republish_total Bundle versions republished from the learning chain.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_feed_republish_total counter\n")
-	for _, fi := range feeds {
-		fmt.Fprintf(w, "srcldad_feed_republish_total{model=%q} %d\n", fi.Model, fi.Republishes)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_feed_compactions_total Compaction retrains of the learning chain.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_feed_compactions_total counter\n")
-	for _, fi := range feeds {
-		fmt.Fprintf(w, "srcldad_feed_compactions_total{model=%q} %d\n", fi.Model, fi.Compactions)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_feed_queue_depth Fed documents accepted but not yet folded into the chain.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_feed_queue_depth gauge\n")
-	for _, fi := range feeds {
-		fmt.Fprintf(w, "srcldad_feed_queue_depth{model=%q} %d\n", fi.Model, fi.QueueDepth)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_feed_queue_capacity Bound of the model's feed ingest queue.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_feed_queue_capacity gauge\n")
-	for _, fi := range feeds {
-		fmt.Fprintf(w, "srcldad_feed_queue_capacity{model=%q} %d\n", fi.Model, fi.QueueCapacity)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_feed_chain_docs Documents in the model's learning chain (training corpus plus appended).\n")
-	fmt.Fprintf(w, "# TYPE srcldad_feed_chain_docs gauge\n")
-	for _, fi := range feeds {
-		fmt.Fprintf(w, "srcldad_feed_chain_docs{model=%q} %d\n", fi.Model, fi.ChainDocs)
-	}
-	fmt.Fprintf(w, "# HELP srcldad_feed_update_seconds Latency of folding one accepted feed batch into the chain.\n")
-	fmt.Fprintf(w, "# TYPE srcldad_feed_update_seconds histogram\n")
-	for _, fi := range feeds {
-		fi.UpdateLatency.WritePrometheus(w, "srcldad_feed_update_seconds", fmt.Sprintf("model=%q", fi.Model))
+		x.Histogram(fi.UpdateLatency, "model", fi.Model)
 	}
 }

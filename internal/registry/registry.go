@@ -75,10 +75,6 @@ type Config struct {
 	// routing) can tell which replica actually served a request. "" omits
 	// the header (single-box deployments have nothing to distinguish).
 	BackendID string
-	// DisableTracing turns off request-ID generation, span recording and
-	// access logging on the HTTP layer — an escape hatch for benchmarking
-	// the serving path's floor; production deployments leave it off.
-	DisableTracing bool
 }
 
 func (c *Config) applyDefaults() {

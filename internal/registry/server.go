@@ -52,7 +52,7 @@ func NewServer(reg *Registry) *Server {
 	s.mux.HandleFunc("GET /v1/models/{name}", s.handleGetModel)
 	s.mux.HandleFunc("PUT /v1/models/{name}", s.handlePutModel)
 	s.mux.HandleFunc("DELETE /v1/models/{name}", s.handleDeleteModel)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", obs.MetricsHandler(reg.WritePrometheus))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	return s
@@ -72,15 +72,11 @@ func NewServer(reg *Registry) *Server {
 // Library callers without an http.ResponseWriter still propagate traces
 // through the context — see Registry.Infer.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// Replica identity rides on every response, traced or not: the header is
-	// how a gateway's audit trail and an operator's curl agree on which
-	// replica answered.
+	// Replica identity rides on every response: the header is how a
+	// gateway's audit trail and an operator's curl agree on which replica
+	// answered.
 	if id := s.reg.cfg.BackendID; id != "" {
 		w.Header().Set(backendIDHeader, id)
-	}
-	if s.reg.cfg.DisableTracing {
-		s.mux.ServeHTTP(w, r)
-		return
 	}
 	id := r.Header.Get(requestIDHeader)
 	if !obs.ValidRequestID(id) {
@@ -158,7 +154,8 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 }
 
 // traceFor recovers the span the middleware attached to the response
-// writer. Nil when tracing is disabled — every Trace method is nil-safe, so
+// writer. Nil when a handler runs on the bare mux, without the middleware
+// (the allocation gate's baseline) — every Trace method is nil-safe, so
 // callers use the result unconditionally.
 func traceFor(w http.ResponseWriter) *obs.Trace {
 	if sw, ok := w.(*statusWriter); ok {
@@ -257,8 +254,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveInfer handles one inference request against a resolved model entry
-// and returns the HTTP status it wrote. tr is the request's span (nil when
-// tracing is disabled).
+// and returns the HTTP status it wrote. tr is the request's span (nil on
+// the bare mux).
 func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, e *entry, tr *obs.Trace) int {
 	cfg := s.reg.cfg
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, cfg.MaxBody))
@@ -596,12 +593,6 @@ func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"unloaded": name})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	s.reg.WritePrometheus(w)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -204,27 +204,26 @@ func TestReadyzGatesOnModels(t *testing.T) {
 	}
 }
 
-// BenchmarkInferObsOverhead measures the serving path with the tracing
-// middleware on (default) and off, driving Server.ServeHTTP directly. The
-// CI gate (examples/benchobs) runs the same comparison and fails the build
-// if observability costs more than its threshold.
+// BenchmarkInferObsOverhead measures the serving path through the tracing
+// middleware (Server.ServeHTTP) and on the bare mux beneath it. The wall-clock
+// difference sits inside timer noise at a 35–42 µs request; the gate on the
+// middleware's cost is TestTracingAllocs.
 func BenchmarkInferObsOverhead(b *testing.B) {
+	reg := newTestRegistry(b, Config{})
+	if _, err := reg.Load(reg.DefaultModel(), "v1", trainModel(b, 7)); err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(reg)
+	payload := []byte(`{"text":"pencil ruler eraser pencil notebook paper baseball umpire pitcher baseball inning glove pencil paper notebook ruler eraser paper glove inning baseball umpire pitcher glove pencil ruler notebook eraser paper pencil"}`)
 	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{{"TracingOn", false}, {"TracingOff", true}} {
+		name string
+		h    http.Handler
+	}{{"TracingOn", srv}, {"TracingOff", srv.mux}} {
 		b.Run(bc.name, func(b *testing.B) {
-			reg := newTestRegistry(b, Config{DisableTracing: bc.disable})
-			if _, err := reg.Load(reg.DefaultModel(), "v1", trainModel(b, 7)); err != nil {
-				b.Fatal(err)
-			}
-			srv := NewServer(reg)
-			payload := []byte(`{"text":"pencil ruler eraser pencil notebook paper baseball umpire pitcher baseball inning glove pencil paper notebook ruler eraser paper glove inning baseball umpire pitcher glove pencil ruler notebook eraser paper pencil"}`)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				req := httptest.NewRequest("POST", "/v1/infer", bytes.NewReader(payload))
 				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, req)
+				bc.h.ServeHTTP(rec, req)
 				if rec.Code != 200 {
 					b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 				}
@@ -236,9 +235,9 @@ func BenchmarkInferObsOverhead(b *testing.B) {
 // TestTracingAllocs is the tracing middleware's cost gate, noise-free by
 // construction: the allocations one single-document request makes through
 // Server.ServeHTTP (request ID, span, access-log guard) minus what the same
-// request makes on the bare mux. The bound is the difference measured at the
-// commit that introduced this test; a new per-request allocation in the
-// middleware fails it.
+// request makes on the bare mux. The bound is the difference measured when
+// the test was introduced; a new per-request allocation in the middleware
+// fails it.
 func TestTracingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")

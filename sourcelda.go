@@ -418,16 +418,27 @@ type Topic struct {
 	// Weight is the fraction of corpus tokens assigned to the topic.
 	Weight float64
 
-	phi   []float64
-	vocab *textproc.Vocabulary
+	// phi is the topic's word distribution when the constructor resolved it
+	// (Topics); nil means resolve it from m when a method first needs it
+	// (TopTopics), so ranking a document's mixture touches no φ row.
+	phi []float64
+	m   *Model
+}
+
+// row returns the topic's word distribution, resolving it on demand.
+func (t Topic) row() []float64 {
+	if t.phi != nil || t.m == nil {
+		return t.phi
+	}
+	return t.m.topicPhi(t.Index)
 }
 
 // TopWords returns the topic's n most probable words.
 func (t Topic) TopWords(n int) []string {
-	ids := textproc.TopWords(t.phi, n)
+	ids := textproc.TopWords(t.row(), n)
 	out := make([]string, len(ids))
 	for i, id := range ids {
-		out[i] = t.vocab.Word(id)
+		out[i] = t.m.vocab.Word(id)
 	}
 	return out
 }
@@ -435,11 +446,11 @@ func (t Topic) TopWords(n int) []string {
 // Probability returns the topic's probability for a word (0 for unknown
 // words).
 func (t Topic) Probability(word string) float64 {
-	id, ok := t.vocab.ID(word)
+	id, ok := t.m.vocab.ID(word)
 	if !ok {
 		return 0
 	}
-	return t.phi[id]
+	return t.row()[id]
 }
 
 // CoreOptions translates façade options into the internal chain options. It
@@ -661,7 +672,7 @@ func (m *Model) Topics() []Topic {
 			IsSourceTopic: m.res.SourceIndices[t] >= 0,
 			Weight:        w,
 			phi:           m.topicPhi(t),
-			vocab:         m.vocab,
+			m:             m,
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Weight > out[j].Weight })
@@ -768,7 +779,10 @@ type DocumentInference struct {
 }
 
 // TopTopics returns the n heaviest topics of the mixture as Topic values
-// (descending weight, ties broken by lower index).
+// (descending weight, ties broken by lower index). Their word distributions
+// are resolved only if TopWords or Probability is called: an inference
+// response that serialises index, label and weight never materializes a φ
+// row of a mapped model.
 func (m *Model) TopTopics(d *DocumentInference, n int) []Topic {
 	ids := textproc.TopWords(d.Topics, n) // same argsort, reused for topics
 	out := make([]Topic, len(ids))
@@ -778,8 +792,7 @@ func (m *Model) TopTopics(d *DocumentInference, n int) []Topic {
 			Label:         m.res.Labels[t],
 			IsSourceTopic: m.res.SourceIndices[t] >= 0,
 			Weight:        d.Topics[t],
-			phi:           m.topicPhi(t),
-			vocab:         m.vocab,
+			m:             m,
 		}
 	}
 	return out
