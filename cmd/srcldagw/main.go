@@ -167,7 +167,7 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("gateway serving", "addr", *f.addr, "backends", len(specs), "default_model", *f.defaultModel)
 
-	defer obs.ServeDebug(*f.debugAddr, logger, func(w io.Writer) { obs.WriteRuntimeMetrics(w, "srcldagw", 0) })()
+	defer obs.ServeDebug(*f.debugAddr, logger, func(w io.Writer) { obs.WriteRuntimeMetrics(w, "srcldagw", -1) })()
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -79,7 +79,7 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 	for _, bi := range infos {
 		x.Histogram(bi.Latency, "backend", bi.ID)
 	}
-	obs.WriteRuntimeMetrics(w, "srcldagw", 0)
+	obs.WriteRuntimeMetrics(w, "srcldagw", -1)
 }
 
 // flag renders a boolean gauge.
