@@ -29,7 +29,7 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 	x.Int(int64(len(infos)))
 	var avail int64
 	for _, bi := range infos {
-		avail += flag(bi.Healthy && !bi.Ejected)
+		avail += b2i(bi.Healthy && !bi.Ejected)
 	}
 	x.Family("srcldagw_backends_available", "gauge", "Backends currently eligible for routed traffic (healthy and not ejected).")
 	x.Int(avail)
@@ -70,9 +70,9 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 	perBackend("srcldagw_backend_probe_failures_total", "counter", "Failed active health probes of the backend.",
 		func(bi BackendInfo) int64 { return int64(bi.ProbeFailures) })
 	perBackend("srcldagw_backend_healthy", "gauge", "Active health-probe verdict (1 healthy, 0 unhealthy).",
-		func(bi BackendInfo) int64 { return flag(bi.Healthy) })
+		func(bi BackendInfo) int64 { return b2i(bi.Healthy) })
 	perBackend("srcldagw_backend_ejected", "gauge", "Passive-ejection state (1 inside an ejection window).",
-		func(bi BackendInfo) int64 { return flag(bi.Ejected) })
+		func(bi BackendInfo) int64 { return b2i(bi.Ejected) })
 	perBackend("srcldagw_backend_inflight", "gauge", "Upstream tries currently in flight to the backend.",
 		func(bi BackendInfo) int64 { return int64(bi.Inflight) })
 	x.Family("srcldagw_backend_latency_seconds", "histogram", "Upstream try latency by backend.")
@@ -82,8 +82,8 @@ func (g *Gateway) WritePrometheus(w io.Writer) {
 	obs.WriteRuntimeMetrics(w, "srcldagw", -1)
 }
 
-// flag renders a boolean gauge.
-func flag(b bool) int64 {
+// b2i renders a boolean gauge.
+func b2i(b bool) int64 {
 	if b {
 		return 1
 	}

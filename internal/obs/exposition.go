@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 )
 
 // Exposition writes a metrics body in the Prometheus text exposition format,
@@ -18,7 +19,6 @@ import (
 type Exposition struct {
 	w      io.Writer
 	family string
-	line   []byte
 }
 
 // NewExposition starts a body on w.
@@ -30,26 +30,19 @@ func NewExposition(w io.Writer) *Exposition { return &Exposition{w: w} }
 // first event.
 func (x *Exposition) Family(name, kind, help string) {
 	x.family = name
-	b := append(x.line[:0], "# HELP "...)
-	b = append(b, name...)
-	b = append(b, ' ')
-	b = append(b, help...)
-	b = append(b, "\n# TYPE "...)
-	b = append(b, name...)
-	b = append(b, ' ')
-	x.flush(append(b, kind...))
+	fmt.Fprintf(x.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 }
 
 // Int writes one integer sample of the current family. labels are name,
 // value pairs, rendered in the order given.
 func (x *Exposition) Int(v int64, labels ...string) {
-	x.flush(strconv.AppendInt(x.series("", labels, ""), v, 10))
+	fmt.Fprintf(x.w, "%s%s %d\n", x.family, labelSet(labels, ""), v)
 }
 
 // Float writes one float sample of the current family, in the shortest
-// form that round-trips (%g).
+// form that round-trips.
 func (x *Exposition) Float(v float64, labels ...string) {
-	x.flush(appendFloat(x.series("", labels, ""), v))
+	fmt.Fprintf(x.w, "%s%s %g\n", x.family, labelSet(labels, ""), v)
 }
 
 // Histogram writes one histogram series of the current family: a cumulative
@@ -58,68 +51,37 @@ func (x *Exposition) Float(v float64, labels ...string) {
 func (x *Exposition) Histogram(s HistogramSnapshot, labels ...string) {
 	for i, bound := range s.Bounds {
 		le := strconv.FormatFloat(bound, 'f', -1, 64)
-		x.flush(strconv.AppendUint(x.series("_bucket", labels, le), s.Cumulative[i], 10))
+		fmt.Fprintf(x.w, "%s_bucket%s %d\n", x.family, labelSet(labels, le), s.Cumulative[i])
 	}
-	x.flush(strconv.AppendUint(x.series("_bucket", labels, "+Inf"), s.Count, 10))
-	x.flush(appendFloat(x.series("_sum", labels, ""), s.Sum))
-	x.flush(strconv.AppendUint(x.series("_count", labels, ""), s.Count, 10))
+	fmt.Fprintf(x.w, "%s_bucket%s %d\n", x.family, labelSet(labels, "+Inf"), s.Count)
+	set := labelSet(labels, "")
+	fmt.Fprintf(x.w, "%s_sum%s %g\n%s_count%s %d\n", x.family, set, s.Sum, x.family, set, s.Count)
 }
 
-// series renders `family+suffix{labels,le="…"} ` — braces only when there is
-// a label to hold, le only when non-empty.
-func (x *Exposition) series(suffix string, labels []string, le string) []byte {
+// labelEscaper escapes a label value as the format defines: backslash,
+// double quote and line feed, nothing else.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// labelSet renders `{name="value",…,le="…"}` — le only when non-empty, and
+// nothing at all when there is no label to hold.
+func labelSet(labels []string, le string) string {
 	if len(labels)%2 != 0 {
 		panic("obs: Exposition labels must be name, value pairs")
 	}
-	b := append(x.line[:0], x.family...)
-	b = append(b, suffix...)
-	sep := byte('{')
+	var b strings.Builder
+	sep := "{"
 	for i := 0; i < len(labels); i += 2 {
-		b = append(b, sep)
-		b = append(b, labels[i]...)
-		b = append(b, '=', '"')
-		b = appendLabelValue(b, labels[i+1])
-		b = append(b, '"')
-		sep = ','
+		b.WriteString(sep + labels[i] + `="` + labelEscaper.Replace(labels[i+1]) + `"`)
+		sep = ","
 	}
 	if le != "" {
-		b = append(b, sep)
-		b = append(b, `le="`...)
-		b = append(b, le...)
-		b = append(b, '"')
-		sep = ','
+		b.WriteString(sep + `le="` + le + `"`)
 	}
-	if sep == ',' {
-		b = append(b, '}')
+	if b.Len() > 0 {
+		b.WriteByte('}')
 	}
-	return append(b, ' ')
+	return b.String()
 }
-
-// flush ends the line and writes it, keeping the buffer for the next one.
-func (x *Exposition) flush(b []byte) {
-	x.line = append(b, '\n')
-	_, _ = x.w.Write(x.line)
-}
-
-// appendLabelValue escapes a label value as the format defines: backslash,
-// double quote and line feed, nothing else.
-func appendLabelValue(b []byte, v string) []byte {
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; c {
-		case '\\':
-			b = append(b, '\\', '\\')
-		case '"':
-			b = append(b, '\\', '"')
-		case '\n':
-			b = append(b, '\\', 'n')
-		default:
-			b = append(b, c)
-		}
-	}
-	return b
-}
-
-func appendFloat(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
 
 // MetricsHandler serves a body written by write — a WritePrometheus method,
 // or a WriteRuntimeMetrics closure — under the exposition content type.
@@ -129,29 +91,3 @@ func MetricsHandler(write func(io.Writer)) http.Handler {
 		write(w)
 	})
 }
-
-// EventLog is a JSONL telemetry sink: one JSON object per line, and the
-// first failure kept for the caller to report at exit, because telemetry
-// must never abort training. A nil Out discards events. It does no locking;
-// its owners (TrainingRecorder, dtrain.Metrics) append under their own.
-type EventLog struct {
-	Out io.Writer
-	err error
-}
-
-// Append writes ev as one line.
-func (l *EventLog) Append(ev any) {
-	if l.Out == nil {
-		return
-	}
-	b, err := json.Marshal(ev)
-	if err == nil {
-		_, err = l.Out.Write(append(b, '\n'))
-	}
-	if err != nil && l.err == nil {
-		l.err = err
-	}
-}
-
-// Err returns the first marshal or write error, if any.
-func (l *EventLog) Err() error { return l.err }

@@ -45,21 +45,13 @@ func CheckGolden(t testing.TB, path, got string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := string(data)
-	if got == want {
-		return
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(data), "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: line %d differs\n got: %q\nwant: %q", path, i+1, gl[i], wl[i])
+		}
 	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("%s: line %d differs (%d lines rendered, %d recorded)\n got: %q\nwant: %q", path, i+1, len(gl), len(wl), g, w)
-		}
+	if len(gl) != len(wl) {
+		t.Fatalf("%s: %d lines rendered, %d recorded", path, len(gl), len(wl))
 	}
 }

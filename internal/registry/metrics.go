@@ -192,28 +192,28 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 // with a learner attached. Rendered only when at least one learner exists:
 // a pure serving replica's scrape stays byte-identical to earlier releases.
 func writeFeedMetrics(x *obs.Exposition, feeds []FeedInfo) {
-	perFeed := func(name, kind, help string, v func(FeedInfo) uint64) {
+	perFeed := func(name, kind, help string, v func(FeedInfo) int64) {
 		x.Family(name, kind, help)
 		for _, fi := range feeds {
-			x.Int(int64(v(fi)), "model", fi.Model)
+			x.Int(v(fi), "model", fi.Model)
 		}
 	}
 	perFeed("srcldad_feed_docs_total", "counter", "Fed documents appended to the model's learning chain.",
-		func(fi FeedInfo) uint64 { return fi.Docs })
+		func(fi FeedInfo) int64 { return int64(fi.Docs) })
 	perFeed("srcldad_feed_dropped_total", "counter", "Fed documents skipped for having no tokens in the model vocabulary.",
-		func(fi FeedInfo) uint64 { return fi.Dropped })
+		func(fi FeedInfo) int64 { return int64(fi.Dropped) })
 	perFeed("srcldad_feed_shed_total", "counter", "Fed documents rejected with 429 because the ingest queue was full.",
-		func(fi FeedInfo) uint64 { return fi.Shed })
+		func(fi FeedInfo) int64 { return int64(fi.Shed) })
 	perFeed("srcldad_feed_republish_total", "counter", "Bundle versions republished from the learning chain.",
-		func(fi FeedInfo) uint64 { return fi.Republishes })
+		func(fi FeedInfo) int64 { return int64(fi.Republishes) })
 	perFeed("srcldad_feed_compactions_total", "counter", "Compaction retrains of the learning chain.",
-		func(fi FeedInfo) uint64 { return fi.Compactions })
+		func(fi FeedInfo) int64 { return int64(fi.Compactions) })
 	perFeed("srcldad_feed_queue_depth", "gauge", "Fed documents accepted but not yet folded into the chain.",
-		func(fi FeedInfo) uint64 { return uint64(fi.QueueDepth) })
+		func(fi FeedInfo) int64 { return int64(fi.QueueDepth) })
 	perFeed("srcldad_feed_queue_capacity", "gauge", "Bound of the model's feed ingest queue.",
-		func(fi FeedInfo) uint64 { return uint64(fi.QueueCapacity) })
+		func(fi FeedInfo) int64 { return int64(fi.QueueCapacity) })
 	perFeed("srcldad_feed_chain_docs", "gauge", "Documents in the model's learning chain (training corpus plus appended).",
-		func(fi FeedInfo) uint64 { return uint64(fi.ChainDocs) })
+		func(fi FeedInfo) int64 { return int64(fi.ChainDocs) })
 	x.Family("srcldad_feed_update_seconds", "histogram", "Latency of folding one accepted feed batch into the chain.")
 	for _, fi := range feeds {
 		x.Histogram(fi.UpdateLatency, "model", fi.Model)
