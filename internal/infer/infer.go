@@ -2,8 +2,11 @@ package infer
 
 import (
 	"errors"
+	"math"
+	"sync"
 
 	"sourcelda/internal/core"
+	"sourcelda/internal/mathx"
 	"sourcelda/internal/parallel"
 	"sourcelda/internal/rng"
 )
@@ -44,7 +47,8 @@ type Document struct {
 // Engine scores unseen documents against a frozen snapshot of a chain
 // runtime (core.Frozen — taken by core.ChainRuntime.Freeze, or rebuilt from
 // a persisted bundle). It is immutable after construction and safe for
-// concurrent use; per-document scratch state is allocated per call. The
+// concurrent use; per-document scratch state comes from a pool on the
+// engine, so a call allocates only the Document and its Theta. The
 // runtime the snapshot came from may keep mutating — training sweeps,
 // AppendDocs warm updates — without affecting the engine: serve-and-learn
 // share one source of truth (the runtime's counts), and the engine reads a
@@ -54,6 +58,19 @@ type Engine struct {
 	burnIn  int
 	samples int
 	seed    int64
+	scratch sync.Pool // *scratch
+}
+
+// scratch is one call's working state, reused across calls through
+// Engine.scratch. The T-length vectors are sized at first use; known and z
+// grow to the longest document seen.
+type scratch struct {
+	r     *rng.RNG
+	known []int
+	z     []int
+	nd    []int32   // n_{d,t}
+	nda   []float64 // n_{d,t} + α, kept in step with nd
+	cum   []float64 // running sum of the current token's weights
 }
 
 // NewFromRuntime snapshots a live chain runtime's current conditionals and
@@ -75,6 +92,14 @@ func New(f *core.Frozen, o Options) (*Engine, error) {
 		return nil, errors.New("infer: Samples must be non-negative")
 	}
 	e := &Engine{f: f, burnIn: o.BurnIn, samples: o.Samples, seed: o.Seed}
+	e.scratch.New = func() any {
+		return &scratch{
+			r:   rng.New(0),
+			nd:  make([]int32, f.T),
+			nda: make([]float64, f.T),
+			cum: make([]float64, f.T),
+		}
+	}
 	switch {
 	case e.burnIn == 0:
 		e.burnIn = DefaultBurnIn
@@ -98,23 +123,29 @@ func (e *Engine) Labels() []string { return e.f.Labels }
 // skipped.
 func (e *Engine) Infer(words []int) *Document {
 	f := e.f
-	known := make([]int, 0, len(words))
+	s := e.scratch.Get().(*scratch)
+	defer e.scratch.Put(s)
+	known := s.known[:0]
 	for _, w := range words {
 		if w >= 0 && w < f.V {
 			known = append(known, w)
 		}
 	}
+	s.known = known
 	doc := &Document{Known: len(known), Unknown: len(words) - len(known)}
 	if len(known) == 0 {
 		return doc
 	}
 
-	r := rng.NewStream(e.seed, rng.TokenStream(known))
-	T := f.T
+	r := s.r
+	r.ResetStream(e.seed, rng.TokenStream(known))
 	alpha := f.Alpha
-	nd := make([]int32, T)
-	z := make([]int, len(known))
-	probs := make([]float64, T)
+	nd, nda, cum := s.nd, s.nda, s.cum
+	clear(nd)
+	if cap(s.z) < len(known) {
+		s.z = make([]int, len(known))
+	}
+	z := s.z[:len(known)]
 
 	// Initialize each token from its word conditional alone — the same
 	// prior-informed start the training chain uses, so a conforming document
@@ -124,36 +155,62 @@ func (e *Engine) Infer(words []int) *Document {
 		z[i] = t
 		nd[t]++
 	}
+	for t := range nda {
+		nda[t] = float64(nd[t]) + alpha
+	}
 
-	thetaSum := make([]float64, T)
-	tAlpha := float64(T) * alpha
-	den := float64(len(known)) + tAlpha
+	theta := make([]float64, f.T)
+	den := float64(len(known)) + float64(f.T)*alpha
 	sweeps := e.burnIn + e.samples
 	for sweep := 0; sweep < sweeps; sweep++ {
 		for i, w := range known {
 			old := z[i]
 			nd[old]--
-			row := f.Cond(w)
-			for t := 0; t < T; t++ {
-				probs[t] = row[t] * (float64(nd[t]) + alpha)
-			}
-			t := r.Categorical(probs)
+			nda[old] = float64(nd[old]) + alpha
+			t := drawTopic(r, f.Cond(w), nda, cum)
 			z[i] = t
 			nd[t]++
+			nda[t] = float64(nd[t]) + alpha
 		}
 		if sweep >= e.burnIn {
-			for t := 0; t < T; t++ {
-				thetaSum[t] += (float64(nd[t]) + alpha) / den
+			for t, v := range nda {
+				theta[t] += v / den
 			}
 		}
 	}
 
 	inv := 1 / float64(e.samples)
-	for t := range thetaSum {
-		thetaSum[t] *= inv
+	for t := range theta {
+		theta[t] *= inv
 	}
-	doc.Theta = thetaSum
+	doc.Theta = theta
 	return doc
+}
+
+// drawTopic samples a topic with weights row[t]·nda[t] in one pass over T:
+// it fills cum with their running sum and binary-searches u·total, the
+// draw core's dense kernel makes. The sum adds the same products in the
+// same order rng.Categorical would, and the search lands on the index its
+// linear scan would, so the choice is bit-identical to rng.Categorical over
+// the filled weights. A non-positive or non-finite total re-fills the
+// weights and hands them to rng.Categorical, whose restricted-support
+// fallback then applies. Either way the draw consumes exactly one variate.
+func drawTopic(r *rng.RNG, row, nda, cum []float64) int {
+	nda, cum = nda[:len(row)], cum[:len(row)]
+	var run float64
+	for t, p := range row {
+		// The explicit conversion rounds the product before the add, so
+		// no platform fuses the two into an FMA and changes the bits.
+		run += float64(p * nda[t])
+		cum[t] = run
+	}
+	if run > 0 && !math.IsNaN(run) && !math.IsInf(run, 0) {
+		return mathx.SearchCumulative(cum, r.Float64()*run)
+	}
+	for t, p := range row {
+		cum[t] = p * nda[t]
+	}
+	return r.Categorical(cum)
 }
 
 // InferBatch scores every document concurrently over the pool's workers

@@ -234,3 +234,26 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("mismatched labels accepted by NewFrozen")
 	}
 }
+
+// TestInferAllocs pins what one fold-in allocates once the engine's scratch
+// pool is warm: the Document and its Theta, which the caller keeps.
+// Everything else — the known-token list, counts, assignments, the running
+// sum and the document's generator — is reused across calls.
+func TestInferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	e, err := New(goldenView(t, 1032, 0, nil), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := goldenDocs()
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Infer(docs[4+i%16])
+		i++
+	})
+	if allocs > 2 {
+		t.Fatalf("Infer allocates %v times per document, want at most 2", allocs)
+	}
+}

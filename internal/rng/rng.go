@@ -88,9 +88,20 @@ func (r *RNG) Skip(n uint64) {
 // the same random sequence no matter how many worker threads execute it or
 // in which order shards are scheduled.
 func NewStream(seed, stream int64) *RNG {
+	return New(streamSeed(seed, stream))
+}
+
+// ResetStream re-seeds r in place to the state NewStream(seed, stream)
+// returns, position zero included, without allocating — for a hot path that
+// keeps one generator per worker and draws a fresh stream per item.
+func (r *RNG) ResetStream(seed, stream int64) {
+	r.src.Seed(streamSeed(seed, stream))
+}
+
+func streamSeed(seed, stream int64) int64 {
 	x := mix64(uint64(seed) + (uint64(stream)+1)*0x9E3779B97F4A7C15)
 	// Keep the derived seed non-negative for rand.NewSource.
-	return New(int64(x &^ (1 << 63)))
+	return int64(x &^ (1 << 63))
 }
 
 // TokenStream hashes a token-id sequence into a substream id for NewStream.

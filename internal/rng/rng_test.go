@@ -470,6 +470,26 @@ func TestNewStreamDeterministicAndDecorrelated(t *testing.T) {
 	}
 }
 
+// TestResetStreamMatchesNewStream pins that a used generator re-seeded in
+// place continues exactly like a fresh NewStream, position included.
+func TestResetStreamMatchesNewStream(t *testing.T) {
+	r := New(7)
+	for _, stream := range []int64{0, 5, 1 << 40} {
+		r.Normal(0, 1)
+		r.Categorical([]float64{1, 2, 3})
+		r.ResetStream(42, stream)
+		want := NewStream(42, stream)
+		if r.Pos() != 0 {
+			t.Fatalf("stream %d: position %d after reset", stream, r.Pos())
+		}
+		for i := 0; i < 100; i++ {
+			if a, b := r.Float64(), want.Float64(); a != b {
+				t.Fatalf("stream %d draw %d: reset %v, fresh %v", stream, i, a, b)
+			}
+		}
+	}
+}
+
 // TestPosSkipResume is the checkpointing contract: a fresh generator
 // fast-forwarded with Skip(Pos()) continues the exact sequence of the
 // original, across every distribution sampler the Gibbs chain uses.
