@@ -332,20 +332,51 @@ func benchInferModel(b *testing.B) (*core.Frozen, [][]int) {
 	return m.Freeze(), docs
 }
 
-// BenchmarkInfer measures single-document fold-in inference — the serving
-// hot path of cmd/srcldad.
-func BenchmarkInfer(b *testing.B) {
-	frozen, docs := benchInferModel(b)
-	e, err := infer.New(frozen, infer.Options{Seed: 1})
+// benchInferSkewed fits the train_skewed_t1024 regime (1024 source topics
+// with ~3 signature words each, plus 8 free topics: T=1032) and cuts 32
+// documents of 20–60 tokens from its corpus — the short single-text request
+// the serving workload sends.
+func benchInferSkewed(b *testing.B) (*core.Frozen, [][]int) {
+	b.Helper()
+	data, opts := benchSkewedT1024(b)
+	m, err := core.Fit(data.Corpus, data.Source, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := e.Infer(docs[i%len(docs)]); d.Theta == nil {
-			b.Fatal("no mixture")
-		}
+	defer m.Close()
+	docs := make([][]int, 32)
+	for i := range docs {
+		words := data.Corpus.Docs[i%data.Corpus.NumDocs()].Words
+		docs[i] = words[:min(len(words), 20+(i*13)%41)]
+	}
+	return m.Freeze(), docs
+}
+
+// BenchmarkInfer measures single-document fold-in inference — the serving
+// hot path of cmd/srcldad — on the mid-size model and in the high-T skewed
+// regime, where the per-token draw over T dominates a request.
+func BenchmarkInfer(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		model func(*testing.B) (*core.Frozen, [][]int)
+	}{
+		{"small-T36", benchInferModel},
+		{"skewed-T1032", benchInferSkewed},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			frozen, docs := c.model(b)
+			e, err := infer.New(frozen, infer.Options{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if d := e.Infer(docs[i%len(docs)]); d.Theta == nil {
+					b.Fatal("no mixture")
+				}
+			}
+		})
 	}
 }
 
