@@ -58,7 +58,10 @@ type Engine struct {
 	burnIn  int
 	samples int
 	seed    int64
-	scratch sync.Pool // *scratch
+	// scratch is held by pointer and its New captures only T: the runtime
+	// keeps every used pool reachable for two GC cycles, and an embedded
+	// pool would keep a retired engine — and its frozen view — with it.
+	scratch *sync.Pool // of *scratch
 }
 
 // scratch is one call's working state, reused across calls through
@@ -92,14 +95,15 @@ func New(f *core.Frozen, o Options) (*Engine, error) {
 		return nil, errors.New("infer: Samples must be non-negative")
 	}
 	e := &Engine{f: f, burnIn: o.BurnIn, samples: o.Samples, seed: o.Seed}
-	e.scratch.New = func() any {
+	T := f.T
+	e.scratch = &sync.Pool{New: func() any {
 		return &scratch{
 			r:   rng.New(0),
-			nd:  make([]int32, f.T),
-			nda: make([]float64, f.T),
-			cum: make([]float64, f.T),
+			nd:  make([]int32, T),
+			nda: make([]float64, T),
+			cum: make([]float64, T),
 		}
-	}
+	}}
 	switch {
 	case e.burnIn == 0:
 		e.burnIn = DefaultBurnIn

@@ -2,7 +2,9 @@ package infer
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"sourcelda/internal/core"
 	"sourcelda/internal/corpus"
@@ -255,5 +257,27 @@ func TestInferAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("Infer allocates %v times per document, want at most 2", allocs)
+	}
+}
+
+// TestRetiredEngineIsCollectable pins that a used engine's scratch pool does
+// not keep the engine, and with it the frozen view, alive: the runtime holds
+// every used sync.Pool for two GC cycles, so a pool embedded in the engine
+// would keep each retired model version resident that long.
+func TestRetiredEngineIsCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		e, err := New(goldenView(t, 72, 0, nil), Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Infer(goldenDocs()[4])
+		runtime.SetFinalizer(e, func(*Engine) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("engine still reachable after a GC")
 	}
 }
