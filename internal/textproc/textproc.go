@@ -228,15 +228,14 @@ func (t *TFIDF) WeightedQueryVector(words []int, weights []float64) []float64 {
 // probs, in descending probability order with ties broken by lower id. n is
 // a display count, far below len(probs): one pass keeps the best n seen so
 // far in order (O(V) comparisons plus an O(n) shift per word that enters)
-// instead of sorting the whole vocabulary per topic.
+// instead of sorting the whole vocabulary per topic. n ≤ 0 returns an empty
+// slice.
 func TopWords(probs []float64, n int) []int {
-	if n > len(probs) {
-		n = len(probs)
+	n = min(n, len(probs))
+	if n <= 0 {
+		return []int{}
 	}
 	top := make([]int, 0, n)
-	if n == 0 {
-		return top
-	}
 	for w, p := range probs {
 		// Ids arrive ascending, so a word displaces only strictly smaller
 		// probabilities and a tie keeps the lower id.

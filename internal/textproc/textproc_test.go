@@ -187,6 +187,21 @@ func TestTopWords(t *testing.T) {
 	}
 }
 
+// TestTopWordsCounts pins the length TopWords returns at the edges of n: a
+// negative count (reachable through Model.TopTopics and Topic.TopWords) and
+// zero give an empty slice, and a count beyond the vector is clamped.
+func TestTopWordsCounts(t *testing.T) {
+	probs := []float64{0.1, 0.5, 0.2, 0.2}
+	for _, c := range []struct{ n, want int }{
+		{-1, 0}, {0, 0}, {1, 1}, {len(probs), len(probs)}, {len(probs) + 1, len(probs)},
+	} {
+		got := TopWords(probs, c.n)
+		if got == nil || len(got) != c.want {
+			t.Errorf("TopWords(n=%d) = %v, want %d ids", c.n, got, c.want)
+		}
+	}
+}
+
 // TestTopWordsMatchesFullSort checks the one-pass selection against the
 // argsort it replaced, over vectors dense with ties.
 func TestTopWordsMatchesFullSort(t *testing.T) {
