@@ -12,6 +12,25 @@
 // arrive labeled, the resulting mixtures are directly usable as document
 // tags; cmd/srcldad serves exactly this path over HTTP.
 //
+// # The draw
+//
+// Each token's draw is one pass over T, the draw core's dense kernel makes:
+// the engine keeps n_{d,t}+α as a float64 vector (updated at the two
+// entries a move changes), accumulates the running sum of
+// P(w_i | t)·(n_{d,t}+α) into a T-length cumulative vector, and
+// binary-searches it for u·total with mathx.SearchCumulative. The products
+// are summed in topic order, as rng.Categorical sums its weights, and the
+// search selects the index its linear scan would, so the result is
+// bit-identical to a fill-then-rng.Categorical kernel; a non-positive or
+// non-finite total hands the weights to rng.Categorical for its
+// restricted-support fallback. Every draw consumes exactly one uniform.
+// TestGoldenThetaDigest pins the bits and TestFoldInOracle checks the
+// sampled θ against the exactly enumerated posterior of a toy model.
+//
+// Per-call scratch (the known-token list, counts, assignments, the
+// cumulative vector and the document's generator) comes from a sync.Pool
+// on the engine, so a call allocates only the Document and its Theta.
+//
 // # Determinism contract
 //
 // Each document draws from rng.NewStream(seed, rng.TokenStream(tokens)) — a
