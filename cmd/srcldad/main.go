@@ -32,9 +32,9 @@
 // vocabulary; unseen documents are scored by fold-in collapsed Gibbs with
 // the trained topic-word statistics locked. Each request's documents are
 // scored on the goroutine that received it, a multi-document request spread
-// over the model's bounded worker pool; because each document draws from a
-// deterministic RNG stream keyed by (seed, content), concurrency and
-// swapping never change a response.
+// over up to -workers goroutines started for that request; because each
+// document draws from a deterministic RNG stream keyed by (seed, content),
+// concurrency and swapping never change a response.
 //
 //	srclda -save-bundle model.bundle
 //	srcldad -bundle model.bundle -addr :8080 &

@@ -34,15 +34,17 @@ func waitScoring(t *testing.T, n int) {
 
 // TestUnloadWithRequestsInFlight: Unload and Close never cut a scoring
 // request off. Requests that pinned the session before the model went away
-// finish 200 on it, later ones are refused, and the session drains once the
-// last pinned request answers.
+// finish 200 on it, later ones are refused — 404 for an unloaded model, 503
+// from a closed registry — and the session drains once the last pinned
+// request answers.
 func TestUnloadWithRequestsInFlight(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		retire func(*Registry) error
+		after  int // status of a request sent after retire
 	}{
-		{"unload", func(r *Registry) error { return r.Unload("m") }},
-		{"close", func(r *Registry) error { r.Close(); return nil }},
+		{"unload", func(r *Registry) error { return r.Unload("m") }, http.StatusNotFound},
+		{"close", func(r *Registry) error { r.Close(); return nil }, http.StatusServiceUnavailable},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := newTestRegistry(t, Config{Infer: slowInfer})
@@ -73,8 +75,8 @@ func TestUnloadWithRequestsInFlight(t *testing.T) {
 			if got := e.openSessions(); got != 1 {
 				t.Errorf("%d open sessions while requests are scoring, want 1", got)
 			}
-			if code, body := postInferRaw(t, url+"/v1/models/m/infer", "pencil"); code != http.StatusNotFound {
-				t.Errorf("request after the model went away: %d %s, want 404", code, body)
+			if code, body := postInferRaw(t, url+"/v1/models/m/infer", "pencil"); code != tc.after {
+				t.Errorf("request after the model went away: %d %s, want %d", code, body, tc.after)
 			}
 			// A request that resolved the name before it went away, but pins
 			// a session only now, finds none.
@@ -117,32 +119,37 @@ func TestCanceledRequestNotScored(t *testing.T) {
 	}
 }
 
-// TestLoadStartsOnlyThePool: serving a model costs no goroutine of the
-// registry's own — a loaded model runs exactly its session pool's workers,
-// none when Workers is 1.
-func TestLoadStartsOnlyThePool(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		model := trainModel(t, 7)
-		reg := newTestRegistry(t, Config{Infer: sourcelda.InferOptions{Workers: workers}})
-		// Goroutines winding down from earlier tests must be gone before the
-		// count means anything.
-		var before int
-		waitFor(t, "goroutine count to settle", func() bool {
-			prev := before
-			before = runtime.NumGoroutine()
-			return before == prev
-		})
-		if _, err := reg.Load("m", "v1", model); err != nil {
+// TestLoadedVersionsStartNoGoroutines: serving a model costs no goroutine
+// of its own — not the registry's, and not a resident worker pool — however
+// many models are live and whatever Workers is. A multi-document request
+// starts its workers and stops them before it returns.
+func TestLoadedVersionsStartNoGoroutines(t *testing.T) {
+	reg := newTestRegistry(t, Config{Infer: sourcelda.InferOptions{Workers: 4}})
+	models := make([]*sourcelda.Model, 4)
+	for i := range models {
+		models[i] = trainModel(t, int64(7+i))
+	}
+	// Goroutines winding down from earlier tests must be gone before the
+	// count means anything.
+	var before int
+	waitFor(t, "goroutine count to settle", func() bool {
+		prev := before
+		before = runtime.NumGoroutine()
+		return before == prev
+	})
+	for i, m := range models {
+		if _, err := reg.Load(fmt.Sprintf("m%d", i), "v1", m); err != nil {
 			t.Fatal(err)
 		}
-		want := 0
-		if workers > 1 {
-			want = workers
-		}
-		if got := runtime.NumGoroutine() - before; got != want {
-			t.Errorf("Workers %d: Load started %d goroutines, want %d", workers, got, want)
-		}
 	}
+	if got := runtime.NumGoroutine() - before; got > 0 {
+		t.Errorf("loading %d models with Workers 4 started %d goroutines, want 0", len(models), got)
+	}
+	texts := []string{"pencil ruler notebook", "baseball umpire inning", "pencil baseball"}
+	if _, err := reg.Infer(context.Background(), "m0", texts); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "request workers to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestConcurrentSinglesMatchOneRequest: a document's response bytes do not

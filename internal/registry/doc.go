@@ -13,12 +13,14 @@
 //     (docs/OPERATIONS.md), so one hot model cannot consume another's
 //     admission budget.
 //   - The active version of a model is an atomically-swapped pointer to a
-//     reference-counted inference session (sourcelda.Inferrer backed by
-//     infer.Session). A swap installs the new version for all subsequent
-//     requests and closes the old session's owner reference; its worker pool
-//     is freed only after every in-flight request releases its pin, so no
-//     request ever observes a torn-down model. The request path never
-//     blocks on a swap — copy-on-swap, drain-on-refcount.
+//     reference-counted inference session (sourcelda.Inferrer). A swap
+//     installs the new version for all subsequent requests and closes the
+//     old session's owner reference; the session drains, releasing its
+//     reference on a mapped bundle, only after every in-flight request
+//     releases its pin, so no request ever observes a torn-down model. The
+//     request path never blocks on a swap — copy-on-swap, drain-on-refcount.
+//     A loaded version starts no goroutine: a multi-document request spreads
+//     over a worker pool that lives for that request only.
 //   - Responses are unchanged by swaps in the only sense that matters:
 //     a mixture is a pure function of (model, seed, text), so every document
 //     scored against version B is bit-for-bit what a fresh B-only daemon

@@ -16,7 +16,7 @@ import (
 
 // Errors the registry reports on the request and admin paths. The HTTP
 // layer maps them to status codes (docs/API.md): ErrModelNotFound → 404,
-// ErrOverloaded → 503, ErrUnloaded → 503.
+// ErrOverloaded → 503, ErrUnloaded → 503, ErrClosed → 503.
 var (
 	// ErrModelNotFound means no model is loaded under the requested name.
 	ErrModelNotFound = errors.New("registry: model not found")
@@ -283,9 +283,9 @@ func (r *Registry) Load(name, ver string, m *sourcelda.Model) (LoadResult, error
 		res.Swapped = true
 		res.PreviousVersion = old.version
 		e.metrics.recordSwap()
-		// Drop the owner reference; the old session frees its pool once the
-		// last in-flight request releases its pin. Closing the old model drops
-		// its reference to any memory-mapped bundle — the unmap itself still
+		// Drop the owner reference; the old session drains once the last
+		// in-flight request releases its pin. Closing the old model drops its
+		// reference to any memory-mapped bundle — the unmap itself still
 		// waits for that same session drain, so in-flight requests are safe.
 		old.inferrer.Close()
 		if old.model != v.model {

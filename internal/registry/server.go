@@ -10,12 +10,10 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"sourcelda"
-	"sourcelda/internal/gateway"
 	"sourcelda/internal/obs"
 	"sourcelda/internal/persist"
 )
@@ -239,7 +237,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	name := modelName(r)
 	e, err := s.reg.lookup(name)
 	if err != nil {
-		writeError(w, r, http.StatusNotFound, modelNotFoundMsg(name, s.reg))
+		s.writeLookupError(w, r, name, err)
 		return
 	}
 	// Record the resolved name (not the raw path segment, which is "" on the
@@ -258,24 +256,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 // the bare mux).
 func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, e *entry, tr *obs.Trace) int {
 	cfg := s.reg.cfg
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, cfg.MaxBody))
-	if err != nil {
-		// Only the MaxBytesReader limit means the body was oversized; any
-		// other read failure (client disconnect mid-upload, transport
-		// error) must not claim 413.
-		var maxErr *http.MaxBytesError
-		switch {
-		case errors.As(err, &maxErr):
-			return writeError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
-		case r.Context().Err() != nil:
-			// 499 "client closed request" (nginx convention): the client
-			// went away mid-read, so no standard 4xx applies and nobody is
-			// listening anyway — but access logs should not blame body size.
-			return writeError(w, r, 499, "client closed request")
-		default:
-			return writeError(w, r, http.StatusBadRequest, "failed to read request body")
-		}
+	body, code := readBody(w, r, cfg.MaxBody)
+	if code != 0 {
+		return code
 	}
 	texts, single, err := decodeInferRequest(body, cfg.MaxDocs)
 	if err != nil {
@@ -337,18 +320,8 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	}
 	traceFor(w).SetModel(name)
 	cfg := s.reg.cfg
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, cfg.MaxBody))
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		switch {
-		case errors.As(err, &maxErr):
-			writeError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
-		case r.Context().Err() != nil:
-			writeError(w, r, 499, "client closed request")
-		default:
-			writeError(w, r, http.StatusBadRequest, "failed to read request body")
-		}
+	body, code := readBody(w, r, cfg.MaxBody)
+	if code != 0 {
 		return
 	}
 	texts, _, err := decodeInferRequest(body, cfg.MaxDocs)
@@ -360,7 +333,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 	case errors.Is(err, ErrNoLearner):
 		if _, merr := s.reg.Model(name); merr != nil {
-			writeError(w, r, http.StatusNotFound, modelNotFoundMsg(name, s.reg))
+			s.writeLookupError(w, r, name, merr)
 		} else {
 			writeError(w, r, http.StatusConflict,
 				fmt.Sprintf("model %q does not accept fed documents (no learning chain attached)", name))
@@ -369,7 +342,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrOverloaded):
 		// Whole-second Retry-After, floored at 1s: one updater batch is the
 		// natural drain quantum, so "try again in a second" is honest.
-		w.Header().Set("Retry-After", strconv.Itoa(gateway.RetryAfterSeconds(time.Second)))
+		w.Header().Set("Retry-After", "1")
 		writeError(w, r, http.StatusTooManyRequests, "feed queue is full")
 		return
 	default:
@@ -406,7 +379,7 @@ func (s *Server) handleTopics(w http.ResponseWriter, r *http.Request) {
 	name := modelName(r)
 	e, err := s.reg.lookup(name)
 	if err != nil {
-		writeError(w, r, http.StatusNotFound, modelNotFoundMsg(name, s.reg))
+		s.writeLookupError(w, r, name, err)
 		return
 	}
 	traceFor(w).SetModel(e.name)
@@ -505,7 +478,7 @@ func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
 	name := modelName(r)
 	mi, err := s.reg.Info(name)
 	if err != nil {
-		writeError(w, r, http.StatusNotFound, modelNotFoundMsg(name, s.reg))
+		s.writeLookupError(w, r, name, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, infoToJSON(mi))
@@ -548,7 +521,11 @@ func (s *Server) handlePutModel(w http.ResponseWriter, r *http.Request) {
 	res, err := s.reg.Load(name, r.URL.Query().Get("version"), m)
 	if err != nil {
 		m.Close()
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrClosed) {
+			status = http.StatusServiceUnavailable
+		}
+		writeError(w, r, status, err.Error())
 		return
 	}
 	status := http.StatusCreated
@@ -633,6 +610,38 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		"default_model":        s.reg.DefaultModel(),
 		"default_model_loaded": defErr == nil,
 	})
+}
+
+// writeLookupError answers a request whose model could not be resolved:
+// 503 once the registry has shut down, 404 for a name that is not loaded.
+func (s *Server) writeLookupError(w http.ResponseWriter, r *http.Request, name string, err error) {
+	if errors.Is(err, ErrClosed) {
+		writeError(w, r, http.StatusServiceUnavailable, ErrClosed.Error())
+		return
+	}
+	writeError(w, r, http.StatusNotFound, modelNotFoundMsg(name, s.reg))
+}
+
+// readBody reads a request body of at most limit bytes. On failure it writes
+// the error response and returns its status: 413 only when the body hit the
+// limit, never for any other read failure (client disconnect mid-upload,
+// transport error) — 499 "client closed request" (nginx convention) when
+// the client went away, so access logs do not blame body size, else 400.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		return body, 0
+	}
+	var maxErr *http.MaxBytesError
+	switch {
+	case errors.As(err, &maxErr):
+		return nil, writeError(w, r, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
+	case r.Context().Err() != nil:
+		return nil, writeError(w, r, 499, "client closed request")
+	default:
+		return nil, writeError(w, r, http.StatusBadRequest, "failed to read request body")
+	}
 }
 
 // modelNotFoundMsg names the missing model and lists what is loaded, so a

@@ -311,34 +311,74 @@ func (brokenReader) Read([]byte) (int, error) { return 0, errors.New("connection
 // handler used to map EVERY body-read failure to 413 Request Entity Too
 // Large. Only *http.MaxBytesError is that case; a mid-upload failure is a
 // 400 (or 499 when the client is already gone), never a claim about size.
+// Both body-reading routes share the reader; the feed route reads its body
+// before looking up a learner, so it needs none here.
 func TestBodyReadErrorStatuses(t *testing.T) {
 	ts, reg := newTestServer(t, Config{MaxBody: 128})
 	srv := NewServer(reg)
+	for _, path := range []string{"/v1/infer", "/v1/models/default/feed"} {
+		// Genuinely oversized body → 413 over the real HTTP path.
+		big := fmt.Sprintf(`{"text":"%s"}`, strings.Repeat("pencil ", 200))
+		code, out := postInfer(t, ts.URL+path, big)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s oversized body: status %d, want 413 (%v)", path, code, out)
+		}
 
-	// Genuinely oversized body → 413 over the real HTTP path.
-	big := fmt.Sprintf(`{"text":"%s"}`, strings.Repeat("pencil ", 200))
-	code, out := postInfer(t, ts.URL+"/v1/infer", big)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413 (%v)", code, out)
+		// A body that fails mid-read for transport reasons → 400, not 413.
+		req := httptest.NewRequest(http.MethodPost, path, brokenReader{})
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s broken body: status %d, want 400 (%s)", path, rec.Code, rec.Body)
+		}
+
+		// Same failure with the request context already canceled (the client
+		// hung up) → 499, the client-closed-request convention.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		req = httptest.NewRequest(http.MethodPost, path, brokenReader{}).WithContext(ctx)
+		rec = httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != 499 {
+			t.Fatalf("%s canceled client: status %d, want 499 (%s)", path, rec.Code, rec.Body)
+		}
 	}
+}
 
-	// A body that fails mid-read for transport reasons → 400, not 413.
-	req := httptest.NewRequest(http.MethodPost, "/v1/infer", brokenReader{})
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("broken body: status %d, want 400 (%s)", rec.Code, rec.Body)
+// TestClosedRegistryAnswers503: once the registry has shut down, model
+// routes — infer, feed, topics, model info and PUT — report the shutdown
+// (503) rather than blaming the model name (404) or the request (400).
+func TestClosedRegistryAnswers503(t *testing.T) {
+	ts, reg := newTestServer(t, Config{})
+	bundle := bundleBytes(t, trainModel(t, 7), "other", "v2")
+	reg.Close()
+	do := func(method, path string, body io.Reader) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-
-	// Same failure with the request context already canceled (the client
-	// hung up) → 499, the client-closed-request convention.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	req = httptest.NewRequest(http.MethodPost, "/v1/infer", brokenReader{}).WithContext(ctx)
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != 499 {
-		t.Fatalf("canceled client: status %d, want 499 (%s)", rec.Code, rec.Body)
+	for _, c := range []struct {
+		method, path string
+		body         io.Reader
+	}{
+		{http.MethodPost, "/v1/infer", strings.NewReader(`{"text":"pencil ruler"}`)},
+		{http.MethodPost, "/v1/models/default/infer", strings.NewReader(`{"text":"pencil ruler"}`)},
+		{http.MethodPost, "/v1/feed", strings.NewReader(`{"text":"pencil ruler"}`)},
+		{http.MethodGet, "/v1/topics", nil},
+		{http.MethodGet, "/v1/models/default", nil},
+		{http.MethodPut, "/v1/models/other", bytes.NewReader(bundle)},
+	} {
+		if code := do(c.method, c.path, c.body); code != http.StatusServiceUnavailable {
+			t.Errorf("%s %s after Close: status %d, want 503", c.method, c.path, code)
+		}
 	}
 }
 

@@ -232,7 +232,7 @@ func modelFromFlat(fb *persist.FlatBundle) (*Model, error) {
 	// (res.Phi is nil) and every Inferrer must share the adopted slab.
 	m.frozenOnce.Do(func() { m.frozen = frozen })
 	if fb.Mapped {
-		m.backing = &mappedBacking{refs: 1, fb: fb}
+		m.backing = &mapping{refs: refs{onDrain: func() { fb.Close() }}, fb: fb}
 	}
 	return m, nil
 }

@@ -43,6 +43,7 @@ import (
 	"sourcelda/internal/infer"
 	"sourcelda/internal/knowledge"
 	"sourcelda/internal/labeling"
+	"sourcelda/internal/parallel"
 	"sourcelda/internal/persist"
 	"sourcelda/internal/textproc"
 )
@@ -290,9 +291,9 @@ type Model struct {
 	frozen     *core.Frozen
 	frozenErr  error
 
-	// backing, when non-nil, owns the mapped flat-bundle memory the frozen
-	// view's cond slab aliases.
-	backing *mappedBacking
+	// backing, when non-nil, is the mapped flat bundle the frozen view's cond
+	// slab aliases.
+	backing *mapping
 
 	// lazyPhi caches per-topic φ rows materialized on demand from the cond
 	// slab when the model was loaded without explicit Phi (flat bundles).
@@ -300,53 +301,88 @@ type Model struct {
 	lazyPhi [][]float64
 }
 
-// mappedBacking reference-counts the mapped file pages behind a flat-bundle
-// model: one reference for the owner (released by Model.Close) plus one per
-// live Inferrer (released when its session drains). The file is unmapped
-// exactly when the count reaches zero, which is what lets a hot swap close
-// the old model immediately while its last in-flight batch finishes.
-type mappedBacking struct {
-	mu     sync.Mutex
-	refs   int
-	closed bool // owner reference released
-	fb     *persist.FlatBundle
+// mapping is the memory-mapped file behind a flat-bundle model. Its
+// references are the owner's (released by Model.Close) plus one per live
+// Inferrer (released when that Inferrer drains); the file is unmapped when
+// the last one goes, which is what lets a hot swap close the old model
+// immediately while its last in-flight batch finishes.
+type mapping struct {
+	refs
+	fb *persist.FlatBundle
 }
 
-// retain takes a reference, failing once the mapping has been released.
-func (b *mappedBacking) retain() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.refs == 0 {
+// refs is an owner-plus-pins reference count. The owner's reference is
+// held from construction until close; every successful acquire holds a pin
+// until its release. Once the owner has closed and no pin remains the
+// counter has drained: onDrain (if set) runs exactly once, and acquire fails
+// from then on.
+type refs struct {
+	mu      sync.Mutex
+	pins    int
+	closed  bool // owner reference released
+	onDrain func()
+}
+
+// acquire pins one reference, failing once the counter has drained.
+func (r *refs) acquire() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed && r.pins == 0 {
 		return false
 	}
-	b.refs++
+	r.pins++
 	return true
 }
 
-func (b *mappedBacking) release() {
-	b.mu.Lock()
-	if b.refs <= 0 {
-		b.mu.Unlock()
-		panic("sourcelda: mapped bundle released more times than retained")
+// release drops one pin.
+func (r *refs) release() {
+	r.mu.Lock()
+	if r.pins == 0 {
+		r.mu.Unlock()
+		panic("sourcelda: reference released more times than acquired")
 	}
-	b.refs--
-	unmap := b.refs == 0
-	b.mu.Unlock()
-	if unmap {
-		b.fb.Close()
+	r.pins--
+	r.unlock()
+}
+
+// close releases the owner's reference; later calls do nothing.
+func (r *refs) close() {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return
+	}
+	r.closed = true
+	r.unlock()
+}
+
+// unlock releases r.mu and, if r has just drained, runs onDrain.
+func (r *refs) unlock() {
+	var onDrain func()
+	if r.closed && r.pins == 0 {
+		onDrain, r.onDrain = r.onDrain, nil
+	}
+	r.mu.Unlock()
+	if onDrain != nil {
+		onDrain()
 	}
 }
 
-// closeOwner releases the owner's reference (idempotently).
-func (b *mappedBacking) closeOwner() {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
+// drained reports whether the owner has closed and no pin remains.
+func (r *refs) drained() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.closed && r.pins == 0
+}
+
+// pin takes a reference on the model's mapping, if it has one, and fails
+// once the mapping has been released. Pair every successful pin with unpin.
+func (m *Model) pin() bool { return m.backing == nil || m.backing.acquire() }
+
+func (m *Model) unpin() {
+	if m.backing != nil {
+		m.backing.release()
 	}
-	b.closed = true
-	b.mu.Unlock()
-	b.release()
 }
 
 // Close releases the model's reference to its memory-mapped bundle, if any.
@@ -357,7 +393,7 @@ func (b *mappedBacking) closeOwner() {
 // for models that do not serve from a mapping.
 func (m *Model) Close() error {
 	if m.backing != nil {
-		m.backing.closeOwner()
+		m.backing.close()
 	}
 	return nil
 }
@@ -698,12 +734,10 @@ func (m *Model) topicPhi(t int) []float64 {
 	if row := m.lazyPhi[t]; row != nil {
 		return row
 	}
-	if m.backing != nil {
-		if !m.backing.retain() {
-			return nil
-		}
-		defer m.backing.release()
+	if !m.pin() {
+		return nil
 	}
+	defer m.unpin()
 	row := m.frozen.TopicRow(t)
 	m.lazyPhi[t] = row
 	return row
@@ -835,9 +869,6 @@ func (m *Model) Infer(text string, opts InferOptions) (*DocumentInference, error
 // goroutines. The returned slice is positionally aligned with texts;
 // entries are nil for documents with no in-vocabulary tokens. Each
 // document's result is bit-for-bit identical to a single Infer call on it.
-//
-// Every call with Workers > 1 spins up and tears down a worker pool; a
-// serving loop should hold a NewInferrer instead and reuse its pool.
 func (m *Model) InferBatch(texts []string, opts InferOptions) ([]*DocumentInference, error) {
 	inf, err := m.NewInferrer(opts)
 	if err != nil {
@@ -861,42 +892,39 @@ func (m *Model) CountKnownTokens(text string) int {
 }
 
 // Inferrer is a reusable inference session over a fitted model: the sweep
-// schedule is pinned at construction and the worker pool is long-lived, so
-// a serving loop pays the pool spawn once instead of per batch. Safe for
-// concurrent use until Close.
+// schedule is pinned at construction, so a serving loop builds the engine
+// once instead of per batch. Safe for concurrent use until Close. It starts
+// no goroutine of its own: a multi-document InferBatch with Workers > 1
+// spreads over a worker pool that lives for that call only.
 //
 // The session is reference-counted for hot-swap serving: Acquire/Release
-// pin it across a unit of work, and Close (the owner's release) frees the
-// worker pool only once every outstanding pin has been released. A registry
-// can therefore swap a model's active Inferrer atomically and let the old
+// pin it across a unit of work, and Close (the owner's release) lets it
+// drain only once every outstanding pin has been released. A registry can
+// therefore swap a model's active Inferrer atomically and let the old
 // handle drain behind in-flight requests instead of blocking or failing
 // them.
 type Inferrer struct {
-	m *Model
-	s *infer.Session
+	m       *Model
+	e       *infer.Engine
+	workers int
+	refs    refs
 }
 
-// NewInferrer builds a reusable inference session. Close it to release the
-// worker pool. A session over a memory-mapped model holds its own reference
-// to the mapping, released only when the session fully drains — so the
-// model may be Closed while batches are still in flight, and the file is
-// unmapped strictly after the last of them finishes.
+// NewInferrer builds a reusable inference session; Close it when done. A
+// session over a memory-mapped model holds its own reference to the
+// mapping, released only when the session fully drains — so the model may
+// be Closed while batches are still in flight, and the file is unmapped
+// strictly after the last of them finishes.
 func (m *Model) NewInferrer(opts InferOptions) (*Inferrer, error) {
-	if m.backing != nil && !m.backing.retain() {
+	if !m.pin() {
 		return nil, errors.New("sourcelda: model is closed (its mapped bundle has been released)")
 	}
 	e, err := m.engine(opts)
 	if err != nil {
-		if m.backing != nil {
-			m.backing.release()
-		}
+		m.unpin()
 		return nil, err
 	}
-	s := infer.NewSession(e, opts.Workers)
-	if m.backing != nil {
-		s.SetOnDrained(m.backing.release)
-	}
-	return &Inferrer{m: m, s: s}, nil
+	return &Inferrer{m: m, e: e, workers: opts.Workers, refs: refs{onDrain: m.unpin}}, nil
 }
 
 // Model returns the fitted model this session scores against.
@@ -905,20 +933,21 @@ func (inf *Inferrer) Model() *Model { return inf.m }
 // Acquire pins the session for a unit of work, returning false when it has
 // already fully drained (Close called and every pin released). Pair every
 // successful Acquire with exactly one Release.
-func (inf *Inferrer) Acquire() bool { return inf.s.Acquire() }
+func (inf *Inferrer) Acquire() bool { return inf.refs.acquire() }
 
-// Release unpins one Acquire; the last release after Close frees the pool.
-func (inf *Inferrer) Release() { inf.s.Release() }
+// Release unpins one Acquire; the last release after Close drains the
+// session and releases its reference on the model's mapping.
+func (inf *Inferrer) Release() { inf.refs.release() }
 
-// Close releases the owner's reference to the session. The worker pool is
-// freed once no Acquire pins remain; until then in-flight batches finish
+// Close releases the owner's reference to the session. The session drains
+// once no Acquire pins remain; until then in-flight batches finish
 // normally. The Inferrer must not be used after Close except through still
 // outstanding Acquire pins; Close is safe to call more than once.
-func (inf *Inferrer) Close() { inf.s.Close() }
+func (inf *Inferrer) Close() { inf.refs.close() }
 
 // Closed reports whether the session has fully drained and released its
-// resources.
-func (inf *Inferrer) Closed() bool { return inf.s.Closed() }
+// reference on the model's mapping.
+func (inf *Inferrer) Closed() bool { return inf.refs.drained() }
 
 // Infer scores one document; see Model.Infer.
 func (inf *Inferrer) Infer(text string) (*DocumentInference, error) {
@@ -929,15 +958,26 @@ func (inf *Inferrer) Infer(text string) (*DocumentInference, error) {
 	return out[0], nil
 }
 
-// InferBatch scores many documents concurrently over the session pool; see
-// Model.InferBatch. It never fails: entries are nil for documents with no
-// in-vocabulary tokens.
+// InferBatch scores many documents concurrently; see Model.InferBatch. It
+// pins the session for the duration of the batch, so a concurrent Close
+// defers the drain until the batch completes. It never fails: entries are
+// nil for documents with no in-vocabulary tokens. Using a fully drained
+// session is a caller bug and panics.
 func (inf *Inferrer) InferBatch(texts []string) []*DocumentInference {
+	if !inf.Acquire() {
+		panic("sourcelda: Inferrer used after it drained")
+	}
+	defer inf.Release()
 	docs := make([][]int, len(texts))
 	for i, text := range texts {
 		docs[i] = encodeForInference(inf.m.vocab, text)
 	}
-	scored := inf.s.InferBatch(docs)
+	var pool *parallel.Pool
+	if inf.workers > 1 && len(docs) > 1 {
+		pool = parallel.NewPool(min(inf.workers, len(docs)))
+		defer pool.Close()
+	}
+	scored := inf.e.InferBatch(docs, pool)
 	out := make([]*DocumentInference, len(texts))
 	for i, d := range scored {
 		if d.Theta == nil {
