@@ -53,8 +53,8 @@ func BenchmarkFig8e(b *testing.B)     { benchExperiment(b, "fig8e") }
 func BenchmarkFig8f(b *testing.B)     { benchExperiment(b, "fig8f") }
 
 // benchCorpus builds a reusable mid-size workload for kernel benchmarks.
-func benchCorpus(b *testing.B) (*synth.MedlineData, error) {
-	b.Helper()
+func benchCorpus(tb testing.TB) (*synth.MedlineData, error) {
+	tb.Helper()
 	return synth.MedlineLike(synth.MedlineOptions{
 		NumTopics:  30,
 		LiveTopics: 12,
@@ -73,8 +73,8 @@ func benchCorpus(b *testing.B) (*synth.MedlineData, error) {
 // under the srclda binary's data-derived priors. Nearly every (word, source
 // topic) pair is unsupported here, so model build, the dense scan and Phi
 // are all dominated by the shared default-δ row.
-func benchSkewedT1024(b *testing.B) (*synth.MedlineData, core.Options) {
-	b.Helper()
+func benchSkewedT1024(tb testing.TB) (*synth.MedlineData, core.Options) {
+	tb.Helper()
 	data, err := synth.MedlineLike(synth.MedlineOptions{
 		NumTopics: 1024, LiveTopics: 100,
 		NumDocs: 260, AvgDocLen: 200,
@@ -83,7 +83,7 @@ func benchSkewedT1024(b *testing.B) (*synth.MedlineData, core.Options) {
 		Seed: 7,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	const free = 8
 	return data, core.Options{
@@ -308,11 +308,11 @@ func BenchmarkSweepModes(b *testing.B) {
 
 // benchInferModel fits a mid-size model once and builds held-out documents
 // for the serving benchmarks.
-func benchInferModel(b *testing.B) (*core.Frozen, [][]int) {
-	b.Helper()
-	data, err := benchCorpus(b)
+func benchInferModel(tb testing.TB) (*core.Frozen, [][]int) {
+	tb.Helper()
+	data, err := benchCorpus(tb)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := core.Fit(data.Corpus, data.Source, core.Options{
 		NumFreeTopics: 6, Alpha: 0.1, Beta: 0.01,
@@ -320,7 +320,7 @@ func benchInferModel(b *testing.B) (*core.Frozen, [][]int) {
 		QuadraturePoints: 7, Iterations: 20, Seed: 3,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer m.Close()
 	// Held-out docs: reuse corpus token streams (the engine never sees the
@@ -336,12 +336,12 @@ func benchInferModel(b *testing.B) (*core.Frozen, [][]int) {
 // with ~3 signature words each, plus 8 free topics: T=1032) and cuts 32
 // documents of 20–60 tokens from its corpus — the short single-text request
 // the serving workload sends.
-func benchInferSkewed(b *testing.B) (*core.Frozen, [][]int) {
-	b.Helper()
-	data, opts := benchSkewedT1024(b)
+func benchInferSkewed(tb testing.TB) (*core.Frozen, [][]int) {
+	tb.Helper()
+	data, opts := benchSkewedT1024(tb)
 	m, err := core.Fit(data.Corpus, data.Source, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer m.Close()
 	docs := make([][]int, 32)
@@ -358,7 +358,7 @@ func benchInferSkewed(b *testing.B) (*core.Frozen, [][]int) {
 func BenchmarkInfer(b *testing.B) {
 	for _, c := range []struct {
 		name  string
-		model func(*testing.B) (*core.Frozen, [][]int)
+		model func(testing.TB) (*core.Frozen, [][]int)
 	}{
 		{"small-T36", benchInferModel},
 		{"skewed-T1032", benchInferSkewed},

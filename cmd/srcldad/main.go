@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"sourcelda"
+	"sourcelda/internal/infer"
 	"sourcelda/internal/obs"
 	"sourcelda/internal/registry"
 )
@@ -103,8 +104,8 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		compactAfter:   fs.Int("compact-after", 0, "fed documents between compaction retrains of the learning chain (default 0: compaction disabled)"),
 		addr:           fs.String("addr", ":8080", "listen address"),
 		workers:        fs.Int("workers", 0, "worker goroutines a model spreads one multi-document request over (0 = GOMAXPROCS)"),
-		burnIn:         fs.Int("burnin", 20, "fold-in Gibbs burn-in sweeps per document"),
-		samples:        fs.Int("samples", 10, "post-burn-in sweeps averaged into each mixture"),
+		burnIn:         fs.Int("burnin", infer.DefaultBurnIn, "fold-in Gibbs burn-in sweeps per document"),
+		samples:        fs.Int("samples", infer.DefaultSamples, "post-burn-in sweeps averaged into each mixture"),
 		seed:           fs.Int64("seed", 42, "inference seed (responses are deterministic given model, seed and text)"),
 		topN:           fs.Int("top", 5, "top topics returned per document"),
 		maxDocs:        fs.Int("max-docs", 64, "maximum documents per request"),

@@ -784,10 +784,11 @@ var ErrNoKnownTokens = errors.New("sourcelda: document has no in-vocabulary toke
 // values take the documented defaults.
 type InferOptions struct {
 	// BurnIn is the number of discarded initial Gibbs sweeps per document
-	// (0 = default 20; a negative value requests no burn-in at all).
+	// (0 = infer.DefaultBurnIn, 20; a negative value requests no burn-in at
+	// all).
 	BurnIn int
 	// Samples is the number of post-burn-in sweeps averaged into the
-	// mixture (default 10).
+	// mixture (0 = infer.DefaultSamples, 10).
 	Samples int
 	// Seed makes inference reproducible. Results are a pure function of
 	// (model, options, document content): every document draws from its own
