@@ -14,22 +14,44 @@
 //
 // # The draw
 //
-// Each token's draw is one pass over T, the draw core's dense kernel makes:
-// the engine keeps n_{d,t}+α as a float64 vector (updated at the two
-// entries a move changes), accumulates the running sum of
-// P(w_i | t)·(n_{d,t}+α) into a T-length cumulative vector, and
-// binary-searches it for u·total with mathx.SearchCumulative. The products
-// are summed in topic order, as rng.Categorical sums its weights, and the
-// search selects the index its linear scan would, so the result is
-// bit-identical to a fill-then-rng.Categorical kernel; a non-positive or
-// non-finite total hands the weights to rng.Categorical for its
-// restricted-support fallback. Every draw consumes exactly one uniform.
-// TestGoldenThetaDigest pins the bits and TestFoldInOracle checks the
-// sampled θ against the exactly enumerated posterior of a toy model.
+// A token's weight P(w_i | t)·(n_{d,t}+α) splits into two buckets, in the
+// manner of SparseLDA (Yao, Mimno & McCallum, KDD'09):
 //
-// Per-call scratch (the known-token list, counts, assignments, the
-// cumulative vector and the document's generator) comes from a sync.Pool
-// on the engine, so a call allocates only the Document and its Theta.
+//   - the document bucket Σ_t P(w_i | t)·n_{d,t}, non-zero only on the
+//     document's live topics. The engine keeps those topics in a list, with
+//     each topic's position in it, so a move updates the list in O(1); a
+//     draw walks the K_d live topics.
+//   - the smoothing bucket α·Σ_t P(w_i | t), which depends on the word
+//     alone. The init pass, which reads each token's full row for its
+//     prior-informed initial draw, also stores the row's total and its sums
+//     over fixed blocks of 32 topics. A smoothing draw walks the block sums
+//     to one block and then that block's topics: about 2√T steps at
+//     T ≈ 1024 instead of a pass over T.
+//
+// One uniform u per draw: u·(doc + smooth) falls in the document bucket's
+// live topics first, in list order, and otherwise, divided by α, in the
+// smoothing bucket's topics in topic order. A fold-in therefore costs one
+// N·T init pass plus N·(K_d + ~2√T) per sweep. A non-positive or
+// non-finite total (a row holding +Inf or NaN) fills the dense weights and
+// hands them to rng.Categorical for its restricted-support fallback, which
+// also consumes exactly one variate. θ is accumulated once per sample
+// sweep, from the counts, as (n_{d,t}+α)/(N+Tα).
+//
+// The draw samples the dense kernel's distribution with different bits.
+// TestDrawIntervalsOracle checks that the u → topic map splits [0, 1) into
+// intervals of the dense probabilities' lengths at block-boundary T;
+// TestFoldInOracle checks the sampled θ against the exactly enumerated
+// posterior of toy models (one spanning three blocks) and that mutations of
+// either kernel fail it; the root TestFoldInReference compares the θ error
+// against a long-chain reference with the dense kernel's. The θ digests of
+// TestGoldenThetaDigest and the registry's recorded responses pin this
+// draw's bits; TestInfFallbackMatchesCategorical pins the degenerate path
+// to rng.Categorical draw for draw.
+//
+// Per-call scratch (the known-token list, counts, the live list,
+// assignments, the per-token row totals and block sums, the bucket weights
+// and the document's generator) comes from a sync.Pool on the engine, so a
+// call allocates only the Document and its Theta.
 //
 // # Determinism contract
 //

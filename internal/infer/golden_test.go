@@ -143,16 +143,23 @@ func TestGoldenThetaDigest(t *testing.T) {
 }
 
 // TestInfFallbackMatchesCategorical drives the degenerate-total path: a word
-// whose row holds +Inf has a non-finite total on every draw, and the engine
-// must pick the index rng.Categorical picks from the same weights on the same
-// stream. refFoldIn calls rng.Categorical for every draw.
+// whose row holds +Inf has a non-finite total on every draw, the init draw
+// included, so on a document made only of such words every draw fills the
+// dense weights and hands them to rng.Categorical. The engine must then
+// match refFoldIn, which calls rng.Categorical for every draw, bit for bit.
 func TestInfFallbackMatchesCategorical(t *testing.T) {
 	f := goldenView(t, 8, 0.4, [][2]int{{7, 2}, {7, 5}, {3, 0}})
 	e, err := New(f, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, words := range goldenDocs() {
+	docs := [][]int{
+		{7},
+		{3, 3, 3, 3, 3, 3, 3, 3},
+		{7, 3, goldenV, 7, 7, 3, -1, 3},
+		{3, 7, 7, 3, 3, 7, 7, 7, 3, 3, 7, 3},
+	}
+	for i, words := range docs {
 		got := e.Infer(words).Theta
 		want := refFoldIn(f, words, 4, DefaultBurnIn, DefaultSamples, exact)
 		if len(got) != len(want) {

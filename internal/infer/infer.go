@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"sourcelda/internal/core"
-	"sourcelda/internal/mathx"
 	"sourcelda/internal/parallel"
 	"sourcelda/internal/rng"
 )
@@ -64,16 +63,23 @@ type Engine struct {
 	scratch *sync.Pool // of *scratch
 }
 
+// blockSize is the width of the fixed topic blocks whose per-token sums let
+// a smoothing-bucket draw skip to its block: ⌈T/blockSize⌉ sums and one
+// block scan, about 2√T steps at T ≈ 1024 instead of a pass over T.
+const blockSize = 32
+
 // scratch is one call's working state, reused across calls through
-// Engine.scratch. The T-length vectors are sized at first use; known and z
-// grow to the longest document seen.
+// Engine.scratch. The T-length vectors are sized at first use; the
+// per-token vectors grow to the longest document seen.
 type scratch struct {
-	r     *rng.RNG
-	known []int
-	z     []int
-	nd    []int32   // n_{d,t}
-	nda   []float64 // n_{d,t} + α, kept in step with nd
-	cum   []float64 // running sum of the current token's weights
+	r      *rng.RNG
+	known  []int
+	z      []int
+	nd     []int32   // n_{d,t}
+	live   []int32   // the topics with n_{d,t} > 0, in no particular order
+	pos    []int32   // pos[t] is t's index in live while n_{d,t} > 0
+	w      []float64 // the document bucket's running sum, or the fallback's T weights
+	blocks []float64 // per token: running sums of P(w_i | t) over blocks of topics
 }
 
 // NewFromRuntime snapshots a live chain runtime's current conditionals and
@@ -100,8 +106,8 @@ func New(f *core.Frozen, o Options) (*Engine, error) {
 		return &scratch{
 			r:   rng.New(0),
 			nd:  make([]int32, T),
-			nda: make([]float64, T),
-			cum: make([]float64, T),
+			pos: make([]int32, T),
+			w:   make([]float64, T),
 		}
 	}}
 	switch {
@@ -144,41 +150,43 @@ func (e *Engine) Infer(words []int) *Document {
 	r := s.r
 	r.ResetStream(e.seed, rng.TokenStream(known))
 	alpha := f.Alpha
-	nd, nda, cum := s.nd, s.nda, s.cum
+	n, nb := len(known), (f.T+blockSize-1)/blockSize
+	s.z = grow(s.z, n)
+	s.blocks = grow(s.blocks, n*nb)
+	z, nd := s.z, s.nd
 	clear(nd)
-	if cap(s.z) < len(known) {
-		s.z = make([]int, len(known))
-	}
-	z := s.z[:len(known)]
+	s.live = s.live[:0]
 
 	// Initialize each token from its word conditional alone — the same
 	// prior-informed start the training chain uses, so a conforming document
-	// begins near its posterior instead of at uniform noise.
+	// begins near its posterior instead of at uniform noise. This pass reads
+	// each row once; it keeps the row's running block sums, which are the
+	// token's smoothing bucket over α for every later sweep.
 	for i, w := range known {
-		t := r.Categorical(f.Cond(w))
+		row, blk := f.Cond(w), s.blocks[i*nb:(i+1)*nb]
+		var t int
+		if m := sumBlocks(row, blk); m > 0 && !math.IsInf(m, 0) {
+			t = pickBlocks(row, blk, r.Float64()*m)
+		} else {
+			t = r.Categorical(row)
+		}
 		z[i] = t
-		nd[t]++
-	}
-	for t := range nda {
-		nda[t] = float64(nd[t]) + alpha
+		s.inc(t)
 	}
 
 	theta := make([]float64, f.T)
-	den := float64(len(known)) + float64(f.T)*alpha
+	den := float64(n) + float64(f.T)*alpha
 	sweeps := e.burnIn + e.samples
 	for sweep := 0; sweep < sweeps; sweep++ {
 		for i, w := range known {
-			old := z[i]
-			nd[old]--
-			nda[old] = float64(nd[old]) + alpha
-			t := drawTopic(r, f.Cond(w), nda, cum)
+			s.dec(z[i])
+			t := s.draw(f.Cond(w), s.blocks[i*nb:(i+1)*nb], alpha)
 			z[i] = t
-			nd[t]++
-			nda[t] = float64(nd[t]) + alpha
+			s.inc(t)
 		}
 		if sweep >= e.burnIn {
-			for t, v := range nda {
-				theta[t] += v / den
+			for t, c := range nd {
+				theta[t] += (float64(c) + alpha) / den
 			}
 		}
 	}
@@ -191,30 +199,130 @@ func (e *Engine) Infer(words []int) *Document {
 	return doc
 }
 
-// drawTopic samples a topic with weights row[t]·nda[t] in one pass over T:
-// it fills cum with their running sum and binary-searches u·total, the
-// draw core's dense kernel makes. The sum adds the same products in the
-// same order rng.Categorical would, and the search lands on the index its
-// linear scan would, so the choice is bit-identical to rng.Categorical over
-// the filled weights. A non-positive or non-finite total re-fills the
-// weights and hands them to rng.Categorical, whose restricted-support
-// fallback then applies. Either way the draw consumes exactly one variate.
-func drawTopic(r *rng.RNG, row, nda, cum []float64) int {
-	nda, cum = nda[:len(row)], cum[:len(row)]
-	var run float64
+// grow returns s resized to n, reallocating only when it is too short.
+func grow[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
+// inc adds one token to topic t, entering t in the live list at its first.
+func (s *scratch) inc(t int) {
+	s.nd[t]++
+	if s.nd[t] == 1 {
+		s.pos[t] = int32(len(s.live))
+		s.live = append(s.live, int32(t))
+	}
+}
+
+// dec removes one token from topic t, swapping t out of the live list when
+// its count reaches 0.
+func (s *scratch) dec(t int) {
+	s.nd[t]--
+	if s.nd[t] == 0 {
+		k, last := s.pos[t], s.live[len(s.live)-1]
+		s.live[k], s.pos[last] = last, k
+		s.live = s.live[:len(s.live)-1]
+	}
+}
+
+// draw samples a topic with weights row[t]·(n_{d,t}+α), split into a
+// document bucket Σ_{t live} row[t]·n_{d,t} and a smoothing bucket
+// α·Σ_t row[t], whose running block sums blk the init pass stored. One
+// uniform scaled to the whole total picks the bucket and then the topic. A
+// non-positive or non-finite total fills the dense weights and hands them
+// to rng.Categorical, whose restricted-support fallback then applies.
+// Either way the draw consumes exactly one variate.
+func (s *scratch) draw(row, blk []float64, alpha float64) int {
+	doc := s.weighDoc(row)
+	smooth := float64(alpha * blk[len(blk)-1])
+	if total := doc + smooth; total > 0 && !math.IsInf(total, 0) {
+		return s.pick(row, blk, doc, alpha, s.r.Float64()*total)
+	}
+	w := s.w[:len(row)]
 	for t, p := range row {
+		w[t] = p * (float64(s.nd[t]) + alpha)
+	}
+	return s.r.Categorical(w)
+}
+
+// weighDoc fills w[k] with the document bucket's running sum over
+// live[:k+1] and returns the bucket's total.
+func (s *scratch) weighDoc(row []float64) float64 {
+	w := s.w[:len(s.live)]
+	var doc float64
+	for k, t := range s.live {
 		// The explicit conversion rounds the product before the add, so
 		// no platform fuses the two into an FMA and changes the bits.
-		run += float64(p * nda[t])
-		cum[t] = run
+		doc += float64(row[t] * float64(s.nd[t]))
+		w[k] = doc
 	}
-	if run > 0 && !math.IsNaN(run) && !math.IsInf(run, 0) {
-		return mathx.SearchCumulative(cum, r.Float64()*run)
+	return doc
+}
+
+// pick maps x ∈ [0, doc+smooth) to a topic: below doc, the live topic whose
+// interval of the document bucket's running sum holds x; above it, the
+// smoothing bucket's topic for (x−doc)/α. Both search a running sum, in
+// which a zero weight adds nothing, so neither lands on a zero-weight topic.
+func (s *scratch) pick(row, blk []float64, doc, alpha, x float64) int {
+	if x < doc {
+		return int(s.live[scan(s.w[:len(s.live)], x)])
 	}
-	for t, p := range row {
-		cum[t] = p * nda[t]
+	return pickBlocks(row, blk, (x-doc)/alpha)
+}
+
+// scan returns the smallest index i with x < cum[i] in the running sum cum,
+// or its last index — mathx.SearchCumulative's result. A linear scan of a
+// few dozen entries costs less than a binary search's mispredicted
+// branches.
+func scan(cum []float64, x float64) int {
+	i := 0
+	for i < len(cum)-1 && cum[i] <= x {
+		i++
 	}
-	return r.Categorical(cum)
+	return i
+}
+
+// sumBlocks stores in blk the running sum of row over its blockSize-wide
+// blocks of topics and returns the row's total.
+func sumBlocks(row, blk []float64) float64 {
+	var total float64
+	for b := range blk {
+		var sum float64
+		for _, p := range row[b*blockSize : min((b+1)*blockSize, len(row))] {
+			sum += p
+		}
+		total += sum
+		blk[b] = total
+	}
+	return total
+}
+
+// pickBlocks maps y ∈ [0, total) to the topic whose interval of row's
+// running sum holds it: a scan of the running block sums blk finds y's
+// block, then a running sum over that block's entries the topic. Rounding
+// that carries y past its block's end takes the last positive entry at or
+// before it, never a zero-weight topic.
+func pickBlocks(row, blk []float64, y float64) int {
+	b := scan(blk, y)
+	if b > 0 {
+		y -= blk[b-1]
+	}
+	lo, hi := b*blockSize, min((b+1)*blockSize, len(row))
+	var run float64
+	for t, p := range row[lo:hi] {
+		run += p
+		if y < run {
+			return lo + t
+		}
+	}
+	for t := hi - 1; t > 0; t-- {
+		if row[t] > 0 {
+			return t
+		}
+	}
+	return 0
 }
 
 // InferBatch scores every document concurrently over the pool's workers
