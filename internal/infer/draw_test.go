@@ -192,8 +192,8 @@ func TestDrawIntervalsOracle(t *testing.T) {
 				})
 
 				// The init draw: the row alone, in topic order.
-				init, _ := layout(nil, 0, mass, topics, func(k int) float64 { return row[k] })
-				checkMap(t, init, r, func(u float64) int { return pickBlocks(row, blk, u*mass) })
+				prior, _ := layout(nil, 0, mass, topics, func(k int) float64 { return row[k] })
+				checkMap(t, prior, r, func(u float64) int { return pickBlocks(row, blk, u*mass) })
 			}
 		})
 	}
