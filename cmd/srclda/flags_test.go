@@ -103,6 +103,34 @@ func TestResumeUnderDifferentThreads(t *testing.T) {
 	}
 }
 
+// TestResumeNamesCheckpointKernel: an explicit -sampler resumes only a
+// checkpoint its own kernel wrote, and the refusal names the kernel that did;
+// the default -sampler auto resumes on that kernel and prints what the
+// uninterrupted run prints.
+func TestResumeNamesCheckpointKernel(t *testing.T) {
+	corpusDir, sourceDir := writeTinyData(t)
+	ckpts := t.TempDir()
+	want, stderr, code := srclda(t, corpusDir, sourceDir, "-iters", "20", "-sampler", "sparse")
+	if code != 0 {
+		t.Fatalf("uninterrupted sparse run: exit %d\n%s", code, stderr)
+	}
+	if _, stderr, code := srclda(t, corpusDir, sourceDir, "-iters", "10", "-sampler", "sparse",
+		"-checkpoint-dir", ckpts, "-checkpoint-every", "10"); code != 0 {
+		t.Fatalf("checkpointing run: exit %d\n%s", code, stderr)
+	}
+	if _, stderr, code := srclda(t, corpusDir, sourceDir, "-iters", "20", "-sampler", "serial", "-resume", ckpts); code == 0 ||
+		!strings.Contains(stderr, "written under sampler sparse") {
+		t.Fatalf("-sampler serial on a sparse checkpoint: exit %d\n%s", code, stderr)
+	}
+	got, stderr, code := srclda(t, corpusDir, sourceDir, "-iters", "20", "-resume", ckpts)
+	if code != 0 {
+		t.Fatalf("-sampler auto on a sparse checkpoint: exit %d\n%s", code, stderr)
+	}
+	if got != want {
+		t.Fatalf("resumed under auto printed\n%s\nuninterrupted sparse run printed\n%s", got, want)
+	}
+}
+
 // TestSweepModeFlagRemoved: -shards N is how sharded sweeps are asked for;
 // the old spelling fails flag parsing instead of being ignored.
 func TestSweepModeFlagRemoved(t *testing.T) {

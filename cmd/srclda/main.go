@@ -90,7 +90,7 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		sigma:         fs.Float64("sigma", 0.3, "std dev of the λ prior, must be >= 0 (default 0.3)"),
 		lambda:        fs.Float64("lambda", -1, "fixed λ exponent in [0,1]; -1 integrates λ out by quadrature (default -1)"),
 		threads:       fs.Int("threads", 0, "worker threads sweeping the -shards document shards; a resource bound that never changes the chain, ignored without -shards; 0 means one per shard, capped at the document and CPU counts (default 0)"),
-		sampler:       fs.String("sampler", "auto", "per-token sampling kernel: auto, serial, or sparse; auto is the dense serial scan (default auto)"),
+		sampler:       fs.String("sampler", "auto", "per-token sampling kernel: auto, serial, or sparse; auto is sparse from 200 topics (free + source) and serial below, and -resume under auto takes the kernel the checkpoint was written under (default auto)"),
 		shards:        fs.Int("shards", 0, "document shards swept concurrently against shard-local counts (document-sharded data-parallel sweeps); the count shapes the chain, 1 reproduces the sequential chain; 0 sweeps sequentially, exact collapsed Gibbs (default 0)"),
 		topN:          fs.Int("top", 10, "words printed per topic (default 10)"),
 		minDocs:       fs.Int("mindocs", 2, "superset reduction: minimum documents a discovered topic must appear in to be printed (default 2)"),

@@ -101,7 +101,7 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		mu:           fs.Float64("mu", 0.7, "coordinator: mean of the N(µ,σ) prior over the λ divergence exponent (default 0.7)"),
 		sigma:        fs.Float64("sigma", 0.3, "coordinator: std dev of the λ prior, must be >= 0 (default 0.3)"),
 		lambda:       fs.Float64("lambda", -1, "coordinator: fixed λ exponent in [0,1]; -1 integrates λ out by quadrature (default -1)"),
-		sampler:      fs.String("sampler", "serial", "coordinator: per-token sampling kernel every worker uses: auto, serial, or sparse, as in srclda; auto is the dense serial scan (default serial)"),
+		sampler:      fs.String("sampler", "auto", "coordinator: per-token sampling kernel every worker uses: auto, serial, or sparse, as in srclda; auto is sparse from 200 topics (free + source) and serial below (default auto)"),
 		shards:       fs.Int("shards", 0, "coordinator: document shards each worker sweeps concurrently inside its partition; the count shapes the chain; 0 sweeps each partition sequentially (default 0)"),
 		threads:      fs.Int("threads", 1, "coordinator: in-worker threads sweeping the -shards document shards; a resource bound that never changes the chain, ignored without -shards (default 1)"),
 		ioTimeout:    fs.Duration("io-timeout", 30*time.Second, "coordinator: bound on each control-frame read/write — handshakes and count broadcasts (default 30s)"),

@@ -161,8 +161,17 @@ func (m *ChainRuntime) validateCheckpoint(ck *Checkpoint) error {
 		return fmt.Errorf("core: checkpoint was captured with seed %d; Options.Seed is %d", ck.Seed, m.opts.Seed)
 	}
 	if d := m.opts.chainDigest(); ck.OptionsDigest != d {
-		// The digest hashes the kernel; a run the previous build sampled
-		// under a retired one is named instead of reported as a bare mismatch.
+		// The digest hashes the kernel, so a checkpoint that differs from
+		// the options in the kernel alone names that kernel instead of
+		// reporting a bare mismatch; a retired one also wraps
+		// ErrRetiredSampler.
+		for _, kind := range []SamplerKind{SamplerSerial, SamplerSparse} {
+			o := m.opts
+			o.Sampler = kind
+			if o.chainDigest() == ck.OptionsDigest {
+				return fmt.Errorf("core: checkpoint was written under sampler %s, not %s; resume with the sampler the run was started with", kind, m.opts.Sampler)
+			}
+		}
 		for kind, name := range retiredSamplers {
 			o := m.opts
 			o.Sampler = kind

@@ -66,8 +66,8 @@ func ReadFrame(r io.Reader, magic string, maxPayload uint64, what string) (versi
 	if payloadLen > maxPayload {
 		return 0, nil, fmt.Errorf("persist: %s payload length %d exceeds the %d-byte limit", what, payloadLen, maxPayload)
 	}
-	payload = make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err = ReadPayload(r, payloadLen)
+	if err != nil {
 		return 0, nil, fmt.Errorf("persist: %s truncated reading %d-byte payload: %w", what, payloadLen, err)
 	}
 	var crc [4]byte
@@ -78,4 +78,26 @@ func ReadFrame(r io.Reader, magic string, maxPayload uint64, what string) (versi
 		return 0, nil, fmt.Errorf("persist: %s checksum mismatch (stored %#x, computed %#x): data is corrupt", what, want, got)
 	}
 	return version, payload, nil
+}
+
+// eagerPayload is the largest payload ReadPayload allocates before reading.
+const eagerPayload = 64 << 20
+
+// ReadPayload reads exactly n bytes from r. Up to 64 MiB it allocates them
+// at once; beyond that the buffer grows with the bytes that arrive, so a
+// corrupt length prefix claiming gigabytes fails at the end of the stream
+// instead of allocating them first.
+func ReadPayload(r io.Reader, n uint64) ([]byte, error) {
+	if n <= eagerPayload {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && uint64(len(buf)) != n {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf, err
 }

@@ -292,8 +292,9 @@ func writeSection(w io.Writer, payload []byte) error {
 	return err
 }
 
-// maxChainSectionBytes bounds a single archive section (1 GiB) so a
-// corrupted length prefix cannot trigger an absurd allocation.
+// maxChainSectionBytes bounds a single archive section (1 GiB); below it,
+// persist.ReadPayload keeps a corrupted length prefix from allocating more
+// than the stream holds.
 const maxChainSectionBytes = 1 << 30
 
 func readSection(r io.Reader) ([]byte, error) {
@@ -305,11 +306,7 @@ func readSection(r io.Reader) ([]byte, error) {
 	if n > maxChainSectionBytes {
 		return nil, fmt.Errorf("sourcelda: chain archive section of %d bytes exceeds the %d-byte limit", n, maxChainSectionBytes)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
+	return persist.ReadPayload(r, n)
 }
 
 // SaveChain archives the complete learning state — corpus (including
@@ -428,10 +425,19 @@ func LoadChainRuntime(r io.Reader) (*Runtime, error) {
 		return nil, err
 	}
 	opts := header.Options.facade()
+	// The chain is sized from the header and the source before Restore
+	// checks either against the checkpoint, so a header that disagrees with
+	// the checkpoint's topic counts fails here instead of allocating its
+	// V×T count slab.
+	if opts.FreeTopics != ck.NumFreeTopics || src.Len() != ck.NumSourceTopics {
+		return nil, fmt.Errorf("sourcelda: chain archive header and source give %d free + %d source topics; its checkpoint has %d + %d",
+			opts.FreeTopics, src.Len(), ck.NumFreeTopics, ck.NumSourceTopics)
+	}
 	coreOpts, err := CoreOptions(&Corpus{c: c}, &KnowledgeSource{s: src}, opts)
 	if err != nil {
 		return nil, fmt.Errorf("sourcelda: chain archive options: %w", err)
 	}
+	coreOpts = resumeOptions(coreOpts, opts.Sampler, ck)
 	chain, err := core.Restore(c, src, coreOpts, ck)
 	if err != nil {
 		return nil, err

@@ -141,8 +141,12 @@ func (b *CorpusBuilder) Build() (*Corpus, *KnowledgeSource, error) {
 type Sampler int
 
 const (
-	// SamplerAuto is the default kernel: today the dense serial scan, the
-	// same chain as SamplerSerial.
+	// SamplerAuto is the default: it picks the kernel by topic count T (free
+	// plus source topics) — the dense serial scan below 200 topics, where it
+	// is the faster kernel, and the sparse kernel from 200 up. Below the
+	// threshold it is the same chain as SamplerSerial, at and above it the
+	// same chain as SamplerSparse. Resuming a checkpoint or chain archive
+	// under SamplerAuto takes whichever of the two kernels wrote it.
 	SamplerAuto Sampler = iota
 	// SamplerSerial is Algorithm 1's sequential scan over all topics.
 	SamplerSerial
@@ -192,10 +196,10 @@ type Options struct {
 	// It is a resource bound only: it never shapes the chain, a sequential
 	// sweep ignores it, and a checkpointed run may resume under any value.
 	Threads int
-	// Sampler selects the per-token sampling kernel. The sampler shapes the
-	// chain's random trajectory, so resuming a checkpointed run requires
-	// the same choice the run was started with (SamplerAuto and
-	// SamplerSerial are the same choice).
+	// Sampler selects the per-token sampling kernel. The kernel shapes the
+	// chain's random trajectory, so an explicit SamplerSerial or
+	// SamplerSparse resumes only a run sampled by that kernel; SamplerAuto
+	// resumes a run sampled by either.
 	Sampler Sampler
 	// Shards > 0 switches sweeps to the document-sharded data-parallel mode:
 	// the corpus is split into that many document shards swept concurrently
@@ -494,8 +498,11 @@ func (t Topic) Probability(word string) float64 {
 // through Fit/Resume and cmd/srcldactl derives its dtrain.ChainSpec from the
 // result — so the paper's defaults (α = 50/T, β = 200/V, λ ~ N(0.7, 0.3) under
 // g-smoothing), a fixed λ as the raw exponent δ^λ, "Shards > 0 ⇒ sharded
-// sweep" and "auto ≡ serial" are stated here and nowhere else, and a resumed
-// run can never rebuild its chain under another configuration. The shard
+// sweep" and "auto is sparse from sparseMinTopics topics, serial below" are
+// stated here and nowhere else, and a resumed run can never rebuild its chain
+// under another configuration. The digest hashes the resolved kernel; only
+// resumeOptions, on the restore paths, may move an auto chain to the other
+// kernel, and only to the one its checkpoint was written under. The shard
 // count is the caller's number: the CPU-capped DefaultShardWorkers only feeds
 // Threads, which no digest hashes. It fails on a Sampler value that names no
 // kernel this build carries.
@@ -544,7 +551,12 @@ func CoreOptions(c *Corpus, k *KnowledgeSource, opts Options) (core.Options, err
 		}
 	}
 	switch opts.Sampler {
-	case SamplerAuto, SamplerSerial:
+	case SamplerAuto:
+		coreOpts.Sampler = core.SamplerSerial
+		if T >= sparseMinTopics {
+			coreOpts.Sampler = core.SamplerSparse
+		}
+	case SamplerSerial:
 		coreOpts.Sampler = core.SamplerSerial
 	case SamplerSparse:
 		coreOpts.Sampler = core.SamplerSparse
@@ -555,6 +567,41 @@ func CoreOptions(c *Corpus, k *KnowledgeSource, opts Options) (core.Options, err
 		return core.Options{}, fmt.Errorf("sourcelda: Options.Sampler is %d; it must be SamplerAuto, SamplerSerial or SamplerSparse", int(opts.Sampler))
 	}
 	return coreOpts, nil
+}
+
+// sparseMinTopics is the topic count T = free + source topics from which
+// SamplerAuto resolves to the sparse kernel. srclda end to end on a 2-vCPU
+// Xeon, default flags, each workload's bench-sized corpus, alternating pairs
+// (tokens/s, sparse ÷ serial):
+//
+//	T = 72    870 k vs 797 k    0.92×
+//	T = 136   548 k vs 508 k    0.93×
+//	T = 204   (BenchmarkSweepModes skewed-T204, per sweep)    1.5×
+//	T = 264   302 k vs 346 k    1.15×
+//	T = 1032  83.5 k vs 115.1 k 1.38×
+//
+// The crossover lies between 136 and 204; 200 keeps every workload below it
+// on the serial chain it trained before the rule existed.
+const sparseMinTopics = 200
+
+// resumeOptions returns the options a checkpoint restores under. An explicit
+// kernel is taken as given, and Restore refuses a checkpoint another kernel
+// wrote. Under SamplerAuto the kernel is whichever live one the checkpoint's
+// digest names, so a chain written before auto chose by topic count (when
+// auto was serial at every T) still resumes bit for bit. A digest neither
+// kernel matches is left to Restore to report.
+func resumeOptions(coreOpts core.Options, sampler Sampler, ck *core.Checkpoint) core.Options {
+	if sampler != SamplerAuto || ck == nil {
+		return coreOpts
+	}
+	for _, kind := range []core.SamplerKind{core.SamplerSerial, core.SamplerSparse} {
+		o := coreOpts
+		o.Sampler = kind
+		if o.ChainDigest() == ck.OptionsDigest {
+			return o
+		}
+	}
+	return coreOpts
 }
 
 // Fit trains Source-LDA on the corpus with the knowledge source.
@@ -577,6 +624,7 @@ func train(c *Corpus, k *KnowledgeSource, opts Options, ck *core.Checkpoint) (*c
 	}
 	var m *core.Model
 	if ck != nil {
+		coreOpts = resumeOptions(coreOpts, opts.Sampler, ck)
 		m, err = core.Restore(c.c, k.s, coreOpts, ck)
 	} else {
 		m, err = core.NewModel(c.c, k.s, coreOpts)
@@ -612,8 +660,9 @@ func trainedInfo(coreOpts core.Options) BundleInfo {
 // and trains the remaining 400. The resumed chain continues the original
 // bit for bit, so the final model is identical to one from an uninterrupted
 // run (iteration wall-clock times excepted). Resuming with options that
-// change the chain (seed, priors, λ treatment, sweep mode, shard count)
-// fails with a descriptive error.
+// change the chain (seed, priors, λ treatment, kernel, sweep mode, shard
+// count) fails with a descriptive error; under SamplerAuto the run resumes on
+// whichever kernel wrote the checkpoint.
 func Resume(path string, c *Corpus, k *KnowledgeSource, opts Options) (*Model, error) {
 	ck, err := persist.LoadCheckpointFile(path)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 	"sourcelda/internal/core"
 )
 
-func buildFixture(t *testing.T) (*Corpus, *KnowledgeSource) {
+func buildFixture(t testing.TB) (*Corpus, *KnowledgeSource) {
 	t.Helper()
 	b := NewCorpusBuilder()
 	for i := 0; i < 10; i++ {
