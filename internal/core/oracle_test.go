@@ -121,8 +121,8 @@ func newOracleTarget(t testing.TB, c *corpus.Corpus, src *knowledge.Source, opts
 	return ot
 }
 
-// counts returns the word-topic, doc-topic and topic totals of assignment z
-// without token skip (skip < 0 keeps every token).
+// counts returns the word-topic, doc-topic and topic totals of assignment z,
+// leaving out token skip (skip < 0 keeps every token).
 func (ot *oracleTarget) counts(z []int, skip int) (nwt, ndt [][]float64, nt []float64) {
 	nwt = make([][]float64, ot.V)
 	for w := range nwt {
@@ -638,6 +638,22 @@ func TestTrainingChainOracle(t *testing.T) {
 	}
 
 	const seeds, burnIn, samples = 300, 20, 600
+	// average sweeps burnIn times, then marks z after each of samples
+	// sweeps and returns the per-token topic frequencies.
+	average := func(sweep func(), z func() [][]int) []float64 {
+		for i := 0; i < burnIn; i++ {
+			sweep()
+		}
+		acc := make([]float64, len(want))
+		for i := 0; i < samples; i++ {
+			sweep()
+			markSample(acc, z(), T)
+		}
+		for k := range acc {
+			acc[k] /= samples
+		}
+		return acc
+	}
 	chain := func(set func(*Options)) func(seed int64) []float64 {
 		return func(seed int64) []float64 {
 			o := chainOracleOptions(seed)
@@ -647,16 +663,7 @@ func TestTrainingChainOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			m.Run(burnIn)
-			acc := make([]float64, len(want))
-			for i := 0; i < samples; i++ {
-				m.Run(1)
-				markSample(acc, m.z, T)
-			}
-			for k := range acc {
-				acc[k] /= samples
-			}
-			return acc
+			return average(func() { m.Run(1) }, func() [][]int { return m.z })
 		}
 	}
 	for _, k := range []struct {
@@ -692,18 +699,7 @@ func TestTrainingChainOracle(t *testing.T) {
 			}
 			defer m.Close()
 			rc := newRefChain(m, mt.sparse, mt.mut)
-			for i := 0; i < burnIn; i++ {
-				rc.sweep()
-			}
-			acc := make([]float64, len(want))
-			for i := 0; i < samples; i++ {
-				rc.sweep()
-				markSample(acc, rc.z, T)
-			}
-			for k := range acc {
-				acc[k] /= samples
-			}
-			return acc
+			return average(rc.sweep, func() [][]int { return rc.z })
 		}
 		if z, _ := oracleZ(want, seeds, broken); z <= 5 {
 			t.Errorf("%s kernel passes the oracle (%.1f standard errors): the check cannot see it", mt.name, z)
