@@ -19,21 +19,26 @@ import (
 // patterns of Φ after goldenSweeps sweeps of the fixture chain. A kernel,
 // model-build or Phi change that is meant to be arithmetic-neutral must pass
 // with them untouched; a change that is meant to move the chain re-records
-// them and says so.
+// them and says so. theta and df pin the readers of the document-topic
+// counts: the bit patterns of Θ, and TopicDocumentFrequencies at thresholds
+// 1 and 2. They were recorded while the chain still cached those counts in a
+// D×T slab, so counting them from the assignments must reproduce them.
 const goldenSweeps = 12 // past the default LambdaBurnIn of 10 and PruneAfter
 
 var goldenTrajectories = []struct {
-	name string
-	run  func(t *testing.T) *Model
-	z    uint64
-	phi  uint64
+	name  string
+	run   func(t *testing.T) *Model
+	z     uint64
+	phi   uint64
+	theta uint64
+	df    uint64
 }{
-	{"serial/sequential", goldenFit(func(o *Options) {}), 0x08e61c26a76ffa37, 0x37902a5718728c46},
-	{"serial/sharded-1", goldenFit(func(o *Options) { o.SweepMode = SweepShardedDocs; o.Shards = 1 }), 0x08e61c26a76ffa37, 0x37902a5718728c46},
-	{"serial/sharded-2", goldenFit(func(o *Options) { o.SweepMode = SweepShardedDocs; o.Shards = 2; o.Threads = 2 }), 0x655290eeba528d08, 0x743760d942906fe7},
-	{"sparse/sequential", goldenFit(func(o *Options) { o.Sampler = SamplerSparse }), 0x8a8efe69ee433048, 0x2ead9ef6e7223f55},
-	{"append-then-sweep", goldenAppend, 0x190ac002be65a53e, 0x4e07f4de03000f7c},
-	{"checkpoint-restore-sweep", goldenResume, 0x08e61c26a76ffa37, 0x37902a5718728c46},
+	{"serial/sequential", goldenFit(func(o *Options) {}), 0x08e61c26a76ffa37, 0x37902a5718728c46, 0x6f6e90ad61adf1ff, 0xb788b5931fbed6ec},
+	{"serial/sharded-1", goldenFit(func(o *Options) { o.SweepMode = SweepShardedDocs; o.Shards = 1 }), 0x08e61c26a76ffa37, 0x37902a5718728c46, 0x6f6e90ad61adf1ff, 0xb788b5931fbed6ec},
+	{"serial/sharded-2", goldenFit(func(o *Options) { o.SweepMode = SweepShardedDocs; o.Shards = 2; o.Threads = 2 }), 0x655290eeba528d08, 0x743760d942906fe7, 0x8eeea362bbb7104b, 0xc3aa90731a98f542},
+	{"sparse/sequential", goldenFit(func(o *Options) { o.Sampler = SamplerSparse }), 0x8a8efe69ee433048, 0x2ead9ef6e7223f55, 0x5e0d57fbda1a19a5, 0xbaa10bd11516bc99},
+	{"append-then-sweep", goldenAppend, 0x190ac002be65a53e, 0x4e07f4de03000f7c, 0x714ed2523bcba868, 0x9a35ba76fd055d88},
+	{"checkpoint-restore-sweep", goldenResume, 0x08e61c26a76ffa37, 0x37902a5718728c46, 0x6f6e90ad61adf1ff, 0xb788b5931fbed6ec},
 }
 
 func goldenOptions() Options {
@@ -112,7 +117,8 @@ func digestAssignments(z [][]int) uint64 {
 	return h.Sum64()
 }
 
-// digestPhi is FNV-64a over the IEEE-754 bit patterns of Φ, topic-major.
+// digestPhi is FNV-64a over the IEEE-754 bit patterns of Φ, topic-major (or
+// of any other matrix, row-major).
 func digestPhi(phi [][]float64) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -144,6 +150,11 @@ func TestGoldenTrajectory(t *testing.T) {
 			z, phi := digestAssignments(m.Assignments()), digestPhi(m.Phi())
 			if z != g.z || phi != g.phi {
 				t.Fatalf("trajectory moved: assignments %#x (recorded %#x), Φ %#x (recorded %#x)", z, g.z, phi, g.phi)
+			}
+			theta := digestPhi(m.Theta())
+			df := digestAssignments([][]int{m.TopicDocumentFrequencies(1), m.TopicDocumentFrequencies(2)})
+			if theta != g.theta || df != g.df {
+				t.Fatalf("document-topic readers moved: Θ %#x (recorded %#x), document frequencies %#x (recorded %#x)", theta, g.theta, df, g.df)
 			}
 		})
 	}
