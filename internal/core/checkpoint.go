@@ -123,7 +123,7 @@ func Restore(c *corpus.Corpus, src *knowledge.Source, opts Options, ck *Checkpoi
 			t := int(ck.Z[i])
 			i++
 			zd[j] = t
-			m.counts.add(d, words[j], t)
+			m.counts.add(words[j], t)
 		}
 	}
 	copy(m.delta.weights, ck.LambdaWeights)

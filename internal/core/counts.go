@@ -2,37 +2,37 @@ package core
 
 import "sourcelda/internal/corpus"
 
-// countStore holds a Gibbs chain's sufficient statistics as flat,
-// cache-friendly slabs. The seed implementation kept [][]int matrices — one
-// pointer dereference per row plus a full int per counter; this store packs
-// everything into four contiguous int32 slabs so the per-token hot path
+// countStore holds the word side of a Gibbs chain's sufficient statistics as
+// flat, cache-friendly slabs. The seed implementation kept [][]int matrices —
+// one pointer dereference per row plus a full int per counter; this store
+// packs them into two contiguous int32 slabs so the per-token hot path
 // touches plain offsets:
 //
 //	wordTopic[w*T + t]  — tokens of word w assigned to topic t
-//	docTopic[d*T + t]   — tokens of document d assigned to topic t
 //	topicTotal[t]       — tokens assigned to topic t (Σ_w wordTopic)
-//	docTotal[d]         — tokens of document d (fixed after initialization)
 //
 // Rows are laid out with the topic index fastest so the inner loop of the
-// collapsed conditional — "for every topic t, given this token's word and
-// document" — walks both count rows with unit stride. int32 halves memory
-// bandwidth against int; a single topic would need 2^31 assigned tokens to
-// overflow, far beyond what fits in memory.
+// collapsed conditional — "for every topic t, given this token's word" —
+// walks the count row with unit stride. int32 halves memory bandwidth
+// against int; a single topic would need 2^31 assigned tokens to overflow,
+// far beyond what fits in memory.
+//
+// Document-topic counts are not stored. A draw reads only the current
+// document's row, which each gibbsView rebuilds from that document's
+// assignments on entry (setDoc), and Theta and TopicDocumentFrequencies count
+// from the assignments too. The store's size therefore depends only on V and
+// T, however many documents the chain holds or appends.
 type countStore struct {
-	V, D, T    int
+	V, T       int
 	wordTopic  []int32
-	docTopic   []int32
 	topicTotal []int32
-	docTotal   []int32
 }
 
-func newCountStore(V, D, T int) *countStore {
+func newCountStore(V, T int) *countStore {
 	return &countStore{
-		V: V, D: D, T: T,
+		V: V, T: T,
 		wordTopic:  make([]int32, V*T),
-		docTopic:   make([]int32, D*T),
 		topicTotal: make([]int32, T),
-		docTotal:   make([]int32, D),
 	}
 }
 
@@ -41,44 +41,22 @@ func (cs *countStore) wordRow(w int) []int32 {
 	return cs.wordTopic[w*cs.T : (w+1)*cs.T : (w+1)*cs.T]
 }
 
-// docRow returns the T-length counts of document d, one entry per topic.
-func (cs *countStore) docRow(d int) []int32 {
-	return cs.docTopic[d*cs.T : (d+1)*cs.T : (d+1)*cs.T]
-}
-
-// add counts one token of word w in document d under topic t during
-// initialization.
-func (cs *countStore) add(d, w, t int) {
+// add counts one token of word w under topic t.
+func (cs *countStore) add(w, t int) {
 	cs.wordTopic[w*cs.T+t]++
-	cs.docTopic[d*cs.T+t]++
 	cs.topicTotal[t]++
-	cs.docTotal[d]++
-}
-
-// appendDoc grows the document-side slabs by one document of the given token
-// count. The new docTopic row starts zeroed (its tokens are placed by the
-// caller through inc, which — unlike add — never touches docTotal, so the
-// total is written up front). Word-side slabs are untouched: their size
-// depends only on V and T, which appending documents never changes.
-func (cs *countStore) appendDoc(tokens int) {
-	cs.docTopic = append(cs.docTopic, make([]int32, cs.T)...)
-	cs.docTotal = append(cs.docTotal, int32(tokens))
-	cs.D++
 }
 
 // rebuildFromAssignments recomputes wordTopic and topicTotal from the
 // per-token assignments — the shard-barrier reconciliation of the sharded
-// sweep mode. Document-topic counts are not touched: each shard owns its
-// documents' rows exclusively and keeps them exact in place.
+// sweep mode.
 func (cs *countStore) rebuildFromAssignments(docs []*corpus.Document, z [][]int) {
 	clear(cs.wordTopic)
 	clear(cs.topicTotal)
 	for d := range docs {
 		zd := z[d]
 		for i, w := range docs[d].Words {
-			t := zd[i]
-			cs.wordTopic[w*cs.T+t]++
-			cs.topicTotal[t]++
+			cs.add(w, zd[i])
 		}
 	}
 }

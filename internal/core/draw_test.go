@@ -58,7 +58,7 @@ func TestSparseDrawFallsBackToDenseScan(t *testing.T) {
 	defer m.Close()
 	m.Run(4)
 	v := m.seq
-	v.setDoc(m.counts.docRow(0))
+	v.setDoc(m.z[0])
 	v.setToken(m.c.Docs[0].Words[0])
 	v.dec(m.z[0][0])
 	defer v.inc(m.z[0][0])

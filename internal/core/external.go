@@ -13,8 +13,8 @@ import "fmt"
 // wordTopic/topicTotal slabs simply hold own + external, and every bulk
 // rebuild (the sharded sweep barrier) re-adds the overlay on top of the
 // assignment-derived own counts. Document-topic counts are never overlaid:
-// each worker owns its documents' rows exclusively, exactly as shards do
-// within one process.
+// each worker derives its documents' rows from its own assignments, exactly
+// as shards do within one process.
 //
 // When the overlay is zero — one worker, or a chain that never saw
 // SetGlobalCounts — the slabs hold exactly the serial chain's values, so a

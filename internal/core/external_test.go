@@ -99,7 +99,7 @@ func TestExternalOverlaySurvivesSweeps(t *testing.T) {
 		after := m.OwnWordTopicCounts()
 
 		// Own counts must match a from-scratch rebuild over the assignments.
-		fresh := newCountStore(m.V, m.D, m.T)
+		fresh := newCountStore(m.V, m.T)
 		for d, doc := range m.c.Docs {
 			for i, w := range doc.Words {
 				fresh.wordTopic[w*m.T+m.z[d][i]]++

@@ -72,7 +72,7 @@ func newUninitializedModel(c *corpus.Corpus, src *knowledge.Source, opts Options
 	m.T = m.K + m.S
 	m.disabled = make([]bool, m.T)
 	m.delta = newDeltaStore(src, m.V, &m.opts)
-	m.counts = newCountStore(m.V, m.D, m.T)
+	m.counts = newCountStore(m.V, m.T)
 	m.z = make([][]int, m.D)
 	for d := range m.z {
 		m.z[d] = make([]int, len(c.Docs[d].Words))
@@ -181,7 +181,7 @@ func (m *ChainRuntime) initAssignments() {
 			m.initWordProbs(prior, supProb, w, probs)
 			k := m.r.Categorical(probs)
 			m.z[d][i] = k
-			m.counts.add(d, w, k)
+			m.counts.add(w, k)
 		}
 	}
 }
@@ -425,8 +425,8 @@ func (m *ChainRuntime) pruneDeadTopics() {
 	}
 	u := m.streams[0]
 	for d := range m.c.Docs {
-		v.setDoc(m.counts.docRow(d))
 		zd := m.z[d]
+		v.setDoc(zd)
 		for i, w := range m.c.Docs[d].Words {
 			if !dead[zd[i]] {
 				continue
@@ -525,12 +525,14 @@ func (m *ChainRuntime) Theta() [][]float64 {
 	alpha := m.opts.Alpha
 	tAlpha := float64(m.T) * alpha
 	theta := make([][]float64, m.D)
-	for d := range theta {
+	for d, zd := range m.z {
 		row := make([]float64, m.T)
-		den := float64(m.counts.docTotal[d]) + tAlpha
-		docRow := m.counts.docRow(d)
-		for t := 0; t < m.T; t++ {
-			row[t] = (float64(docRow[t]) + alpha) / den
+		for _, t := range zd {
+			row[t]++
+		}
+		den := float64(len(zd)) + tAlpha
+		for t := range row {
+			row[t] = (row[t] + alpha) / den
 		}
 		theta[d] = row
 	}
@@ -561,13 +563,18 @@ func (m *ChainRuntime) TopicDocumentFrequencies(minTokens int) []int {
 	if minTokens < 1 {
 		minTokens = 1
 	}
-	min32 := int32(minTokens)
-	df := make([]int, m.T)
-	for d := 0; d < m.D; d++ {
-		for t, n := range m.counts.docRow(d) {
-			if n >= min32 {
+	df, n := make([]int, m.T), make([]int, m.T)
+	for _, zd := range m.z {
+		for _, t := range zd {
+			n[t]++
+		}
+		// The first token of each topic reads its full count and clears it,
+		// so n is all zero again for the next document.
+		for _, t := range zd {
+			if n[t] >= minTokens {
 				df[t]++
 			}
+			n[t] = 0
 		}
 	}
 	return df

@@ -139,13 +139,11 @@ func (m *ChainRuntime) AppendDocs(docs []*corpus.Document, foldInSweeps int) err
 			// append would diverge from one-at-a-time calls.
 			v.sparse.resyncTotals()
 		}
-		d := m.D
 		m.c.AddDocument(doc)
-		m.counts.appendDoc(len(doc.Words))
 		m.D++
 		zd := make([]int, len(doc.Words))
 		m.z = append(m.z, zd)
-		v.setDoc(m.counts.docRow(d))
+		v.setDoc(zd[:0])
 		// Initialization: place each token with the full dec→draw→inc
 		// protocol minus the dec (there is no previous assignment to remove).
 		// With the document row still empty, fill's conditional reduces to

@@ -63,7 +63,7 @@ func checkViewAgainstDense(t *testing.T, name string, m *Model, v *gibbsView, lo
 	sparse := make([]float64, m.T)
 	checked := 0
 	for d := lo; d < hi; d++ {
-		v.setDoc(m.counts.docRow(d))
+		v.setDoc(m.z[d])
 		zd := m.z[d]
 		for i, w := range m.c.Docs[d].Words {
 			v.setToken(w)
@@ -177,7 +177,7 @@ func TestSparseDrawMatchesDenseDistribution(t *testing.T) {
 		}
 		i := r.Intn(len(m.z[d]))
 		w := m.c.Docs[d].Words[i]
-		v.setDoc(m.counts.docRow(d))
+		v.setDoc(m.z[d])
 		v.setToken(w)
 		v.dec(m.z[d][i])
 

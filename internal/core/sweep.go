@@ -58,7 +58,7 @@ type gibbsView struct {
 	tokenRow []int32 // wordTopic row of the current word
 	supRow   []int32 // supporting source topics of the current word (CSR)
 	supBase  int     // deltaStore entry index of supRow[0]
-	docRow   []int32 // docTopic row of the current document
+	docRow   []int32 // topic counts of the current document, owned by the view
 	curWord  int     // word id of the current token
 
 	// sparse holds the bucket-decomposed totals and nonzero lists of the
@@ -83,6 +83,7 @@ func newGibbsView(m *ChainRuntime, wordTopic, topicTotal []int32) *gibbsView {
 		freeDen:    make([]float64, m.K),
 		wInv:       make([]float64, m.S*m.delta.P),
 		defMass:    make([]float64, m.S),
+		docRow:     make([]int32, m.T),
 		cum:        make([]float64, m.T),
 	}
 	if useSparse {
@@ -188,17 +189,21 @@ func (v *gibbsView) setToken(w int) {
 	v.supRow, v.supBase = v.m.delta.wordEntries(w)
 }
 
-// setDoc points the view at a document's count row and, for the sparse
-// sampler, rebuilds the document bucket's nonzero-topic list.
-func (v *gibbsView) setDoc(row []int32) {
-	v.docRow = row
+// setDoc refills the view's document row from a document's assignments zd
+// and, for the sparse sampler, rebuilds the document bucket's nonzero-topic
+// list. From then on dec and inc keep the row in step with zd.
+func (v *gibbsView) setDoc(zd []int) {
+	clear(v.docRow)
+	for _, t := range zd {
+		v.docRow[t]++
+	}
 	if v.sparse != nil {
-		v.sparse.setDoc(row)
+		v.sparse.setDoc(v.docRow)
 	}
 }
 
-// resample redraws token i of zd — a token of word w in the document whose
-// counts docRow currently points at — from RNG stream r. This is the one
+// resample redraws token i of zd — a token of word w in the document setDoc
+// last loaded — from RNG stream r. This is the one
 // place the dec → draw → inc protocol lives; the sequential sweep, the
 // sharded sweep, prune resampling and AppendDocs fold-in all go through it.
 func (v *gibbsView) resample(zd []int, i, w int, r *rng.RNG) {
@@ -305,8 +310,8 @@ type shardView struct {
 // every shard share.
 func (m *ChainRuntime) sweepRange(v *gibbsView, lo, hi int, r *rng.RNG) {
 	for d := lo; d < hi; d++ {
-		v.setDoc(m.counts.docRow(d))
 		zd := m.z[d]
+		v.setDoc(zd)
 		for i, w := range m.c.Docs[d].Words {
 			v.resample(zd, i, w, r)
 		}

@@ -325,7 +325,7 @@ func checkOracles(t *testing.T, name string, m *ChainRuntime, v *gibbsView, lo, 
 	t.Helper()
 	got, want := make([]float64, m.T), make([]float64, m.T)
 	for d := lo; d < hi; d++ {
-		v.setDoc(m.counts.docRow(d))
+		v.setDoc(m.z[d])
 		for i, w := range m.c.Docs[d].Words {
 			v.setToken(w)
 			v.dec(m.z[d][i])
