@@ -3,9 +3,11 @@ package sourcelda
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -126,6 +128,68 @@ func TestRuntimeFeedImprovesHeldOutPerplexity(t *testing.T) {
 	}
 	if !(p1 < p0) {
 		t.Fatalf("feeding held-out docs did not improve their perplexity: before %v after %v", p0, p1)
+	}
+}
+
+// TestRuntimeAppendHeapIndependentOfTopics feeds the same documents to a
+// T = 72 and a T = 1032 runtime and compares the live heap each grew by. A
+// chain's per-document state is its tokens' words and assignments, so the
+// growth must not depend on T; a store of T counters per document would
+// grow the wide runtime by 4 KB a document more.
+func TestRuntimeAppendHeapIndependentOfTopics(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts heap growth")
+	}
+	const fed = 2000
+	// Documents 0–9 of wideFixture name the same articles at either width,
+	// so their words are in both vocabularies.
+	texts := make([]string, fed)
+	for i := range texts {
+		x, y := wideArticleName(7*(i%10)), wideArticleName(7*(i%10)+3)
+		texts[i] = strings.Repeat(fmt.Sprintf("alpha%s beta%s alpha%s gamma%s beta%s stray%s alpha%s ", x, x, y, y, y, x, x), 3)
+	}
+	// Earlier tests may leave garbage that one collection does not free:
+	// sync.Pool contents survive one in the victim cache, and objects with
+	// finalizers are freed only by the collection after the one that queued
+	// their finalizer.
+	settle := func() {
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+	}
+	growth := func(articles int) float64 {
+		c, k := wideFixture(t, articles)
+		rt, err := FitRuntime(c, k, Options{FreeTopics: 1, Iterations: 2, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		// A first append settles what the chain allocates once, not per
+		// document.
+		if _, err := rt.Append(texts[:1], 1); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		settle()
+		runtime.ReadMemStats(&before)
+		tokens := rt.c.TotalTokens()
+		if n, err := rt.Append(texts, 1); err != nil || n != fed {
+			t.Fatalf("T = %d: appended %d of %d documents (%v)", articles+1, n, fed, err)
+		}
+		if got := rt.c.TotalTokens() - tokens; got != fed*21 {
+			t.Fatalf("T = %d: appended %d tokens, want %d", articles+1, got, fed*21)
+		}
+		settle()
+		runtime.ReadMemStats(&after)
+		// The texts must stay live through the second reading, or freeing
+		// them would offset the growth.
+		runtime.KeepAlive(texts)
+		return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / fed
+	}
+	narrow, wide := growth(71), growth(1031)
+	t.Logf("heap growth per appended document: %.0f B at T = 72, %.0f B at T = 1032", narrow, wide)
+	if narrow <= 0 || wide > 1.25*narrow || narrow > 1.25*wide {
+		t.Fatalf("heap growth per appended document depends on T: %.0f B at T = 72, %.0f B at T = 1032", narrow, wide)
 	}
 }
 

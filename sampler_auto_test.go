@@ -16,8 +16,8 @@ import (
 // of articles 7i and 7i+3 with one word no article has.
 func wideFixture(t *testing.T, articles int) (*Corpus, *KnowledgeSource) {
 	t.Helper()
-	name := func(a int) string { return string(rune('a'+a/26%26)) + string(rune('a'+a%26)) }
 	b := NewCorpusBuilder()
+	name := wideArticleName
 	for i := 0; i < 30; i++ {
 		x, y := name(7*i%articles), name((7*i+3)%articles)
 		b.AddDocument(fmt.Sprintf("d%02d", i), fmt.Sprintf("alpha%s beta%s alpha%s gamma%s beta%s stray%s alpha%s", x, x, y, y, y, x, x))
@@ -31,6 +31,16 @@ func wideFixture(t *testing.T, articles int) (*Corpus, *KnowledgeSource) {
 		t.Fatal(err)
 	}
 	return c, k
+}
+
+// wideArticleName names article a of wideFixture: two letters below 26², a
+// third letter in front from there.
+func wideArticleName(a int) string {
+	n := string(rune('a'+a/26%26)) + string(rune('a'+a%26))
+	if a >= 26*26 {
+		n = string(rune('a'+a/(26*26))) + n
+	}
+	return n
 }
 
 // TestAutoKernelByTopicCount: auto is serial below sparseMinTopics topics
