@@ -105,8 +105,9 @@ func TestResumeUnderDifferentThreads(t *testing.T) {
 
 // TestResumeNamesCheckpointKernel: an explicit -sampler resumes only a
 // checkpoint its own kernel wrote, and the refusal names the kernel that did;
-// the default -sampler auto resumes on that kernel and prints what the
-// uninterrupted run prints.
+// the default -sampler auto resumes on that kernel, prints what the
+// uninterrupted run prints, and names that kernel in its telemetry (T is
+// below the count at which auto alone would pick sparse).
 func TestResumeNamesCheckpointKernel(t *testing.T) {
 	corpusDir, sourceDir := writeTinyData(t)
 	ckpts := t.TempDir()
@@ -122,12 +123,29 @@ func TestResumeNamesCheckpointKernel(t *testing.T) {
 		!strings.Contains(stderr, "written under sampler sparse") {
 		t.Fatalf("-sampler serial on a sparse checkpoint: exit %d\n%s", code, stderr)
 	}
-	got, stderr, code := srclda(t, corpusDir, sourceDir, "-iters", "20", "-resume", ckpts)
+	telemetry := filepath.Join(t.TempDir(), "telemetry.jsonl")
+	got, stderr, code := srclda(t, corpusDir, sourceDir, "-iters", "20", "-resume", ckpts, "-telemetry-log", telemetry)
 	if code != 0 {
 		t.Fatalf("-sampler auto on a sparse checkpoint: exit %d\n%s", code, stderr)
 	}
 	if got != want {
 		t.Fatalf("resumed under auto printed\n%s\nuninterrupted sparse run printed\n%s", got, want)
+	}
+	data, err := os.ReadFile(telemetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 10 {
+		t.Fatalf("%d telemetry events for 10 resumed sweeps:\n%s", len(lines), data)
+	}
+	for i, line := range lines {
+		var ev struct {
+			Kernel string `json:"kernel"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.Kernel != "sparse" {
+			t.Fatalf("event %d: kernel %q, want sparse (%v): %s", i, ev.Kernel, err, line)
+		}
 	}
 }
 

@@ -190,7 +190,6 @@ func main() {
 		// tracing knob, so a telemetry run resumes a non-telemetry chain (and
 		// vice versa) without a digest mismatch.
 		var recorder *obs.TrainingRecorder
-		kernel := ""
 		if *f.telemetryLog != "" || *f.metricsAddr != "" {
 			var sink io.Writer
 			if *f.telemetryLog != "" {
@@ -201,9 +200,6 @@ func main() {
 			}
 			recorder = obs.NewTrainingRecorder(sink)
 			opts.TraceLikelihood = true
-			mapped, err := sourcelda.CoreOptions(fc, fk, opts)
-			exitOn(err)
-			kernel = mapped.Sampler.String()
 		}
 		if *f.metricsAddr != "" {
 			// Bind before training starts: a bad address should stop the run
@@ -236,7 +232,7 @@ func main() {
 					TotalSweeps:    p.TotalSweeps,
 					SweepSeconds:   p.SweepSeconds,
 					TokensPerSec:   p.TokensPerSec,
-					Kernel:         kernel,
+					Kernel:         p.Kernel,
 					CheckpointPath: p.CheckpointPath,
 				}
 				if !math.IsNaN(p.LogLikelihood) {

@@ -261,6 +261,10 @@ type Progress struct {
 	// CheckpointSeconds is how long that checkpoint write took, or 0 for
 	// sweeps that didn't checkpoint.
 	CheckpointSeconds float64
+	// Kernel names the sampling kernel the chain runs ("serial" or
+	// "sparse"). Under SamplerAuto a resumed chain runs the kernel that
+	// wrote its checkpoint, which need not be the one the topic count picks.
+	Kernel string
 }
 
 // ProgressFunc observes training after each sweep — progress bars, eval
@@ -719,6 +723,7 @@ func runTraining(m *core.Model, c *Corpus, opts Options, totalSweeps int) error 
 			LogLikelihood:     math.NaN(),
 			CheckpointPath:    path,
 			CheckpointSeconds: ckSecs,
+			Kernel:            cm.Options().Sampler.String(),
 		}
 		if opts.TraceLikelihood {
 			if trace := cm.LikelihoodTrace; len(trace) > 0 {
