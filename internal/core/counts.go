@@ -23,14 +23,14 @@ import "sourcelda/internal/corpus"
 // from the assignments too. The store's size therefore depends only on V and
 // T, however many documents the chain holds or appends.
 type countStore struct {
-	V, T       int
+	T          int
 	wordTopic  []int32
 	topicTotal []int32
 }
 
 func newCountStore(V, T int) *countStore {
 	return &countStore{
-		V: V, T: T,
+		T:          T,
 		wordTopic:  make([]int32, V*T),
 		topicTotal: make([]int32, T),
 	}

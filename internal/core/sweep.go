@@ -203,9 +203,9 @@ func (v *gibbsView) setDoc(zd []int) {
 }
 
 // resample redraws token i of zd — a token of word w in the document setDoc
-// last loaded — from RNG stream r. This is the one
-// place the dec → draw → inc protocol lives; the sequential sweep, the
-// sharded sweep, prune resampling and AppendDocs fold-in all go through it.
+// last loaded — from RNG stream r. This is the one place the dec → draw →
+// inc protocol lives; the sequential sweep, the sharded sweep, prune
+// resampling and AppendDocs fold-in all go through it.
 func (v *gibbsView) resample(zd []int, i, w int, r *rng.RNG) {
 	v.setToken(w)
 	v.dec(zd[i])
