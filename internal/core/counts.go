@@ -3,10 +3,7 @@ package core
 import "sourcelda/internal/corpus"
 
 // countStore holds the word side of a Gibbs chain's sufficient statistics as
-// flat, cache-friendly slabs. The seed implementation kept [][]int matrices —
-// one pointer dereference per row plus a full int per counter; this store
-// packs them into two contiguous int32 slabs so the per-token hot path
-// touches plain offsets:
+// two flat int32 slabs, so the per-token hot path touches plain offsets:
 //
 //	wordTopic[w*T + t]  — tokens of word w assigned to topic t
 //	topicTotal[t]       — tokens assigned to topic t (Σ_w wordTopic)

@@ -703,6 +703,7 @@ func runTraining(m *core.Model, c *Corpus, opts Options, totalSweeps int) error 
 		}
 	}
 	totalTokens := c.c.TotalTokens()
+	kernel := m.Options().Sampler.String()
 	err := m.RunWithHook(remaining, func(sweep int, cm *core.Model) error {
 		path := ""
 		ckSecs := 0.0
@@ -723,7 +724,7 @@ func runTraining(m *core.Model, c *Corpus, opts Options, totalSweeps int) error 
 			LogLikelihood:     math.NaN(),
 			CheckpointPath:    path,
 			CheckpointSeconds: ckSecs,
-			Kernel:            cm.Options().Sampler.String(),
+			Kernel:            kernel,
 		}
 		if opts.TraceLikelihood {
 			if trace := cm.LikelihoodTrace; len(trace) > 0 {
