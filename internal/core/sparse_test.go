@@ -63,8 +63,8 @@ func checkViewAgainstDense(t *testing.T, name string, m *Model, v *gibbsView, lo
 	sparse := make([]float64, m.T)
 	checked := 0
 	for d := lo; d < hi; d++ {
-		v.setDoc(m.z[d])
 		zd := m.z[d]
+		v.setDoc(zd)
 		for i, w := range m.c.Docs[d].Words {
 			v.setToken(w)
 			v.dec(zd[i])
