@@ -6,64 +6,9 @@ import (
 
 	"sourcelda/internal/core"
 	"sourcelda/internal/infer"
-	"sourcelda/internal/mathx"
+	"sourcelda/internal/oracle"
 	"sourcelda/internal/parallel"
-	"sourcelda/internal/rng"
 )
-
-// refFoldIn is the dense fold-in kernel infer.Engine ran before the
-// two-bucket draw: each token's weights row[t]·(n_{d,t}+α) summed in one
-// pass over T into a running sum, and u·total binary-searched in it, with
-// rng.Categorical for a degenerate total. At (20, 10) it returns the bits
-// the engine used to.
-func refFoldIn(f *core.Frozen, words []int, seed int64, burnIn, samples int) []float64 {
-	var known []int
-	for _, w := range words {
-		if w >= 0 && w < f.V {
-			known = append(known, w)
-		}
-	}
-	r := rng.NewStream(seed, rng.TokenStream(known))
-	T, alpha := f.T, f.Alpha
-	nd := make([]int32, T)
-	z := make([]int, len(known))
-	cum := make([]float64, T)
-	for i, w := range known {
-		z[i] = r.Categorical(f.Cond(w))
-		nd[z[i]]++
-	}
-	theta := make([]float64, T)
-	den := float64(len(known)) + float64(T)*alpha
-	for sweep := 0; sweep < burnIn+samples; sweep++ {
-		for i, w := range known {
-			nd[z[i]]--
-			var run float64
-			for t, p := range f.Cond(w) {
-				run += float64(p * (float64(nd[t]) + alpha))
-				cum[t] = run
-			}
-			if run > 0 && !math.IsInf(run, 0) {
-				z[i] = mathx.SearchCumulative(cum, r.Float64()*run)
-			} else {
-				for t, p := range f.Cond(w) {
-					cum[t] = p * (float64(nd[t]) + alpha)
-				}
-				z[i] = r.Categorical(cum)
-			}
-			nd[z[i]]++
-		}
-		if sweep >= burnIn {
-			for t := range theta {
-				theta[t] += (float64(nd[t]) + alpha) / den
-			}
-		}
-	}
-	inv := 1 / float64(samples)
-	for t := range theta {
-		theta[t] *= inv
-	}
-	return theta
-}
 
 // l1 returns Σ_t |a[t] − b[t]|.
 func l1(a, b []float64) float64 {
@@ -74,23 +19,9 @@ func l1(a, b []float64) float64 {
 	return d
 }
 
-// meanSE returns the mean of xs and its standard error.
-func meanSE(xs []float64) (mean, se float64) {
-	n := float64(len(xs))
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= n
-	var ss float64
-	for _, x := range xs {
-		ss += (x - mean) * (x - mean)
-	}
-	return mean, math.Sqrt(ss / (n - 1) / n)
-}
-
 // TestFoldInReference measures the fold-in's θ error against a long-chain
 // reference on the BenchmarkInfer fixtures (T=36 and T=1032): for each of
-// their 32 documents, a 4,000-sample chain of the dense kernel (refFoldIn)
+// their 32 documents, a 4,000-sample chain of the dense kernel (oracle.FoldIn)
 // is the reference, and over 5 seeds per document it reports the mean
 // L1(θ, reference) of the dense kernel and of infer.Engine at the default
 // (20, 10) schedule, and of the engine at (10, 5). Both kernels sample the
@@ -118,7 +49,7 @@ func TestFoldInReference(t *testing.T) {
 			pool := parallel.NewPool(2)
 			pool.Run(len(docs), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					ref[i] = refFoldIn(f, docs[i], refSeed, infer.DefaultBurnIn, refSamples)
+					ref[i] = oracle.FoldIn(f.Cond, f.T, f.V, f.Alpha, docs[i], refSeed, infer.DefaultBurnIn, refSamples, oracle.Exact)
 				}
 			})
 			pool.Close()
@@ -134,7 +65,7 @@ func TestFoldInReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, words := range docs {
-					d := l1(refFoldIn(f, words, seed, infer.DefaultBurnIn, infer.DefaultSamples), ref[i])
+					d := l1(oracle.FoldIn(f.Cond, f.T, f.V, f.Alpha, words, seed, infer.DefaultBurnIn, infer.DefaultSamples, oracle.Exact), ref[i])
 					e := l1(def.Infer(words).Theta, ref[i])
 					dense = append(dense, d)
 					engine = append(engine, e)
@@ -142,10 +73,10 @@ func TestFoldInReference(t *testing.T) {
 					diff = append(diff, e-d)
 				}
 			}
-			dm, ds := meanSE(dense)
-			em, es := meanSE(engine)
-			sm, ss := meanSE(short)
-			gap, gapSE := meanSE(diff)
+			dm, ds := oracle.MeanSE(dense)
+			em, es := oracle.MeanSE(engine)
+			sm, ss := oracle.MeanSE(short)
+			gap, gapSE := oracle.MeanSE(diff)
 			t.Logf("mean L1(θ, %d-sample reference) over %d docs × %d seeds: dense (20, 10) %.4f ± %.4f · engine (20, 10) %.4f ± %.4f · engine (10, 5) %.4f ± %.4f",
 				refSamples, len(docs), seeds, dm, ds, em, es, sm, ss)
 			if gap > 2*gapSE {

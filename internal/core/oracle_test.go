@@ -8,6 +8,7 @@ import (
 	"sourcelda/internal/corpus"
 	"sourcelda/internal/knowledge"
 	"sourcelda/internal/mathx"
+	"sourcelda/internal/oracle"
 	"sourcelda/internal/rng"
 	"sourcelda/internal/textproc"
 )
@@ -167,98 +168,12 @@ func (ot *oracleTarget) conditional(z []int, i int, out []float64) {
 	}
 }
 
-// decode writes state code's assignment into z (token i is digit i, base T).
-func (ot *oracleTarget) decode(code int, z []int) {
-	for i := range z {
-		z[i] = code % ot.T
-		code /= ot.T
-	}
-}
-
-// marginals reduces a distribution over states to per-token marginals,
-// flattened i*T + t.
-func (ot *oracleTarget) marginals(pi []float64) []float64 {
-	N := len(ot.words)
-	out := make([]float64, N*ot.T)
-	z := make([]int, N)
-	for code, p := range pi {
-		ot.decode(code, z)
-		for i, t := range z {
-			out[i*ot.T+t] += p
-		}
-	}
-	return out
-}
-
-// stationary iterates the exact one-sweep transition operator to its fixed
-// point and returns the per-token marginals there.
-func (ot *oracleTarget) stationary(t testing.TB) []float64 {
-	t.Helper()
-	N, T := len(ot.words), ot.T
-	states := 1
-	for range ot.words {
-		states *= T
-	}
-	// cond[i][code*T+t]: token i's conditional from state code. It ignores
-	// z_i, so one table row serves every value of that digit.
-	cond := make([][]float64, N)
-	z := make([]int, N)
-	for i := range cond {
-		cond[i] = make([]float64, states*T)
-		for code := 0; code < states; code++ {
-			ot.decode(code, z)
-			ot.conditional(z, i, cond[i][code*T:(code+1)*T])
-		}
-	}
-	pi := make([]float64, states)
-	for code := range pi {
-		pi[code] = 1 / float64(states)
-	}
-	next := make([]float64, states)
-	for sweep := 0; sweep < 10000; sweep++ {
-		prev := slices.Clone(pi)
-		stride := 1
-		for i := 0; i < N; i++ {
-			clear(next)
-			for code, p := range pi {
-				if p == 0 {
-					continue
-				}
-				base := code - (code/stride%T)*stride
-				for t, c := range cond[i][code*T : (code+1)*T] {
-					next[base+t*stride] += p * c
-				}
-			}
-			pi, next = next, pi
-			stride *= T
-		}
-		var diff float64
-		for code := range pi {
-			diff = math.Max(diff, math.Abs(pi[code]-prev[code]))
-		}
-		if diff < 1e-15 {
-			return ot.marginals(pi)
-		}
-	}
-	t.Fatal("the exact transition operator did not reach its fixed point")
-	return nil
-}
-
 // joint returns the per-token marginals of p(z | w) enumerated from the
 // collapsed joint, each source topic's word likelihood mixed over the nodes:
 // Π_d DM(n_d·; α) · Π_free DM(n_·t; β) · Π_s Σ_p π_p DM(n_·s; δ^{e_p}).
 func (ot *oracleTarget) joint() []float64 {
-	N, T := len(ot.words), ot.T
-	states := 1
-	for range ot.words {
-		states *= T
-	}
 	lg := func(x float64) float64 { v, _ := math.Lgamma(x); return v }
-	logp := make([]float64, states)
-	z := make([]int, N)
-	top := math.Inf(-1)
-	for code := range logp {
-		ot.decode(code, z)
+	return oracle.Posterior(len(ot.words), ot.T, func(z []int) float64 {
 		nwt, ndt, nt := ot.counts(z, -1)
 		var l float64
 		for _, row := range ndt {
@@ -266,7 +181,7 @@ func (ot *oracleTarget) joint() []float64 {
 				l += lg(n+ot.alpha) - lg(ot.alpha)
 			}
 		}
-		for t := 0; t < T; t++ {
+		for t := 0; t < ot.T; t++ {
 			if t < ot.K {
 				vb := float64(ot.V) * ot.beta
 				l += lg(vb) - lg(nt[t]+vb)
@@ -288,19 +203,8 @@ func (ot *oracleTarget) joint() []float64 {
 			}
 			l += math.Log(mix)
 		}
-		logp[code] = l
-		top = math.Max(top, l)
-	}
-	pi := make([]float64, states)
-	var norm float64
-	for code, l := range logp {
-		pi[code] = math.Exp(l - top)
-		norm += pi[code]
-	}
-	for code := range pi {
-		pi[code] /= norm
-	}
-	return ot.marginals(pi)
+		return l
+	})
 }
 
 // refChain is a test-local copy of the chain's two kernels, written out
@@ -549,33 +453,6 @@ func markSample(acc []float64, z [][]int, T int) {
 	}
 }
 
-// oracleZ runs sample(seed) for seeds 1..seeds and returns the largest
-// |mean − want| / standard error over tokens and topics, and the largest
-// |mean − want|.
-func oracleZ(want []float64, seeds int, sample func(seed int64) []float64) (z, bias float64) {
-	sum := make([]float64, len(want))
-	sq := make([]float64, len(want))
-	for s := 1; s <= seeds; s++ {
-		for k, v := range sample(int64(s)) {
-			sum[k] += v
-			sq[k] += v * v
-		}
-	}
-	n := float64(seeds)
-	for k := range want {
-		mean := sum[k] / n
-		se := math.Sqrt(math.Max((sq[k]-n*mean*mean)/(n-1), 0) / n)
-		bias = math.Max(bias, math.Abs(mean-want[k]))
-		switch {
-		case se > 0:
-			z = math.Max(z, math.Abs(mean-want[k])/se)
-		case mean != want[k]:
-			z = math.Inf(1)
-		}
-	}
-	return z, bias
-}
-
 // TestOracleOperatorMatchesJoint: with a fixed λ the conditionals are the
 // Dirichlet-multinomial joint's, so the exact operator's fixed point must be
 // p(z | w) enumerated from that joint. With P = 3 the gap between Eq. 3's
@@ -585,7 +462,7 @@ func TestOracleOperatorMatchesJoint(t *testing.T) {
 	fixed := chainOracleOptions(1)
 	fixed.LambdaMode, fixed.Lambda = LambdaFixed, 0.8
 	ot := newOracleTarget(t, c, src, fixed)
-	got, want := ot.stationary(t), ot.joint()
+	got, want := oracle.Stationary(t, len(ot.words), ot.T, ot.conditional), ot.joint()
 	for k := range want {
 		if math.Abs(got[k]-want[k]) > 1e-9 {
 			t.Fatalf("fixed λ: operator marginal %d is %v, enumerated joint %v", k, got[k], want[k])
@@ -593,7 +470,7 @@ func TestOracleOperatorMatchesJoint(t *testing.T) {
 	}
 	ot = newOracleTarget(t, c, src, chainOracleOptions(1))
 	var gap float64
-	target := ot.stationary(t)
+	target := oracle.Stationary(t, len(ot.words), ot.T, ot.conditional)
 	for k, v := range ot.joint() {
 		gap = math.Max(gap, math.Abs(v-target[k]))
 	}
@@ -609,7 +486,7 @@ func TestOracleOperatorMatchesJoint(t *testing.T) {
 func TestTrainingChainOracle(t *testing.T) {
 	c, src := oracleCorpus()
 	ot := newOracleTarget(t, c, src, chainOracleOptions(1))
-	want := ot.stationary(t)
+	want := oracle.Stationary(t, len(ot.words), ot.T, ot.conditional)
 	T := ot.T
 
 	// The unbroken copies reproduce the chain's bits; that is what makes
@@ -666,49 +543,29 @@ func TestTrainingChainOracle(t *testing.T) {
 			return average(func() { m.Run(1) }, func() [][]int { return m.z })
 		}
 	}
-	for _, k := range []struct {
-		name string
-		set  func(*Options)
-	}{
-		{"serial", func(o *Options) {}},
-		{"sparse", func(o *Options) { o.Sampler = SamplerSparse }},
-		{"sharded-1", func(o *Options) { o.SweepMode, o.Shards = SweepShardedDocs, 1 }},
-	} {
-		z, bias := oracleZ(want, seeds, chain(k.set))
-		if z > 5 {
-			t.Errorf("%s chain misses the exact marginals by %.1f standard errors (largest bias %.4f)", k.name, z, bias)
-		} else {
-			t.Logf("%s chain within %.1f standard errors (largest bias %.4f)", k.name, z, bias)
-		}
-	}
+	oracle.MustHit(t, "serial chain", want, seeds, chain(func(o *Options) {}))
+	oracle.MustHit(t, "sparse chain", want, seeds, chain(func(o *Options) { o.Sampler = SamplerSparse }))
+	oracle.MustHit(t, "sharded-1 chain", want, seeds, chain(func(o *Options) { o.SweepMode, o.Shards = SweepShardedDocs, 1 }))
 
-	for _, mt := range []struct {
-		name   string
-		sparse bool
-		mut    oracleMutation
-	}{
-		{"no-decrement", false, mutNoDecrement},
-		{"skip-node", false, mutSkipNode},
-		{"no-beta-denominator", false, mutNoBeta},
-		{"no-support-correction", true, mutNoSupportCorrection},
-	} {
-		broken := func(seed int64) []float64 {
+	broken := func(sparse bool, mut oracleMutation) func(seed int64) []float64 {
+		return func(seed int64) []float64 {
 			m, err := NewModel(c, src, chainOracleOptions(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			rc := newRefChain(m, mt.sparse, mt.mut)
+			rc := newRefChain(m, sparse, mut)
 			return average(rc.sweep, func() [][]int { return rc.z })
 		}
-		if z, _ := oracleZ(want, seeds, broken); z <= 5 {
-			t.Errorf("%s kernel passes the oracle (%.1f standard errors): the check cannot see it", mt.name, z)
-		} else {
-			t.Logf("%s kernel misses by %.1f standard errors", mt.name, z)
-		}
 	}
+	oracle.MustMiss(t, want, seeds, []oracle.Mutation{
+		{Name: "no-decrement", Sample: broken(false, mutNoDecrement)},
+		{Name: "skip-node", Sample: broken(false, mutSkipNode)},
+		{Name: "no-beta-denominator", Sample: broken(false, mutNoBeta)},
+		{Name: "no-support-correction", Sample: broken(true, mutNoSupportCorrection)},
+	})
 
-	z, bias := oracleZ(want, seeds, chain(func(o *Options) { o.SweepMode, o.Shards = SweepShardedDocs, 2 }))
+	z, bias := oracle.Z(want, seeds, chain(func(o *Options) { o.SweepMode, o.Shards = SweepShardedDocs, 2 }))
 	t.Logf("sharded-2 (approximate): %.1f standard errors, largest marginal bias %.4f", z, bias)
 
 	// AppendDocs: a chain over the first document, burnt in, folds the
@@ -730,6 +587,6 @@ func TestTrainingChainOracle(t *testing.T) {
 		markSample(acc, m.z, T)
 		return acc
 	}
-	z, bias = oracleZ(want, 10*seeds, appended)
+	z, bias = oracle.Z(want, 10*seeds, appended)
 	t.Logf("AppendDocs after burn-in (approximate): %.1f standard errors, largest marginal bias %.4f", z, bias)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sourcelda/internal/eval"
+	"sourcelda/internal/oracle"
 	"sourcelda/internal/rng"
 	"sourcelda/internal/synth"
 )
@@ -30,9 +31,7 @@ func TestSparseQualityMatchesSerial(t *testing.T) {
 	}
 	train, test := data.Corpus.Split(0.15, rng.New(11))
 	const seeds = 8
-	type stat struct{ sum, sq float64 }
-	add := func(s *stat, x float64) { s.sum += x; s.sq += x * x }
-	var acc, ppx [2]stat
+	var acc, ppx [2][]float64
 	for k, kind := range []SamplerKind{SamplerSerial, SamplerSparse} {
 		for seed := int64(1); seed <= seeds; seed++ {
 			m, err := Fit(train, data.Source, Options{
@@ -56,23 +55,20 @@ func TestSparseQualityMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.Close()
-			add(&acc[k], res.Accuracy())
-			add(&ppx[k], p)
+			acc[k] = append(acc[k], res.Accuracy())
+			ppx[k] = append(ppx[k], p)
 		}
 	}
 	for _, metric := range []struct {
 		name string
-		s    [2]stat
+		xs   [2][]float64
 	}{{"token accuracy", acc}, {"held-out perplexity", ppx}} {
-		var mean, varMean [2]float64
-		for k, s := range metric.s {
-			mean[k] = s.sum / seeds
-			varMean[k] = math.Max((s.sq-seeds*mean[k]*mean[k])/(seeds-1), 0) / seeds
-		}
-		se := math.Sqrt(varMean[0] + varMean[1])
-		t.Logf("%s: serial %.4f, sparse %.4f (difference SE %.4f)", metric.name, mean[0], mean[1], se)
-		if d := math.Abs(mean[0] - mean[1]); d > 2*se {
-			t.Errorf("%s: serial %.4f and sparse %.4f differ by %.1f standard errors", metric.name, mean[0], mean[1], d/se)
+		serial, serialSE := oracle.MeanSE(metric.xs[0])
+		sparse, sparseSE := oracle.MeanSE(metric.xs[1])
+		se := math.Hypot(serialSE, sparseSE)
+		t.Logf("%s: serial %.4f, sparse %.4f (difference SE %.4f)", metric.name, serial, sparse, se)
+		if d := math.Abs(serial - sparse); d > 2*se {
+			t.Errorf("%s: serial %.4f and sparse %.4f differ by %.1f standard errors", metric.name, serial, sparse, d/se)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sourcelda/internal/core"
+	"sourcelda/internal/oracle"
 	"sourcelda/internal/rng"
 )
 
@@ -147,7 +148,8 @@ func TestGoldenThetaDigest(t *testing.T) {
 // whose row holds +Inf has a non-finite total on every draw, the init draw
 // included, so on a document made only of such words every draw fills the
 // dense weights and hands them to rng.Categorical. The engine must then
-// match refFoldIn, which calls rng.Categorical for every draw, bit for bit.
+// match oracle.FoldIn, which does the same on a degenerate total, bit for
+// bit.
 func TestInfFallbackMatchesCategorical(t *testing.T) {
 	f := goldenView(t, 8, 0.4, [][2]int{{7, 2}, {7, 5}, {3, 0}})
 	e, err := New(f, Options{Seed: 4})
@@ -162,7 +164,7 @@ func TestInfFallbackMatchesCategorical(t *testing.T) {
 	}
 	for i, words := range docs {
 		got := e.Infer(words).Theta
-		want := refFoldIn(f, words, 4, DefaultBurnIn, DefaultSamples, exact)
+		want := oracle.FoldIn(f.Cond, f.T, f.V, f.Alpha, words, 4, DefaultBurnIn, DefaultSamples, oracle.Exact)
 		if len(got) != len(want) {
 			t.Fatalf("doc %d: θ length %d, want %d", i, len(got), len(want))
 		}

@@ -7,83 +7,20 @@ import (
 	"testing"
 
 	"sourcelda/internal/core"
+	"sourcelda/internal/oracle"
 	"sourcelda/internal/rng"
 )
 
-// mutation selects a deliberately wrong variant of refFoldIn, so the oracle
-// can show it tells a correct fold-in from a broken one.
+// mutation selects a deliberately wrong variant of twoBucketFoldIn, so the
+// oracle can show it tells a correct fold-in from a broken one.
 type mutation int
 
 const (
-	exact       mutation = iota
-	noAlpha              // weights use n_{d,t} without the + α prior
-	noDecrement          // the current token is not removed before its draw
-
-	// Mutations of twoBucketFoldIn, the two-bucket kernel.
-	smoothNoAlpha // the smoothing bucket's mass is Σ_t row[t], without α
-	docPlusAlpha  // the document bucket weighs n_{d,t}+α, so α counts twice
-	staleLive     // a topic stays in the live list when its count reaches 0
+	exact         mutation = iota
+	smoothNoAlpha          // the smoothing bucket's mass is Σ_t row[t], without α
+	docPlusAlpha           // the document bucket weighs n_{d,t}+α, so α counts twice
+	staleLive              // a topic stays in the live list when its count reaches 0
 )
-
-// refFoldIn is a test-local copy of the fold-in kernel in its plainest form:
-// fill the weights row[t]·(n_{d,t}+α), then rng.Categorical's sum and linear
-// scan. With mut == exact it consumes the same stream as Engine.Infer and
-// must return the same bits.
-func refFoldIn(f *core.Frozen, words []int, seed int64, burnIn, samples int, mut mutation) []float64 {
-	var known []int
-	for _, w := range words {
-		if w >= 0 && w < f.V {
-			known = append(known, w)
-		}
-	}
-	if len(known) == 0 {
-		return nil
-	}
-	r := rng.NewStream(seed, rng.TokenStream(known))
-	T, alpha := f.T, f.Alpha
-	nd := make([]int32, T)
-	z := make([]int, len(known))
-	probs := make([]float64, T)
-	for i, w := range known {
-		t := r.Categorical(f.Cond(w))
-		z[i] = t
-		nd[t]++
-	}
-	theta := make([]float64, T)
-	den := float64(len(known)) + float64(T)*alpha
-	for sweep := 0; sweep < burnIn+samples; sweep++ {
-		for i, w := range known {
-			if mut != noDecrement {
-				nd[z[i]]--
-			}
-			row := f.Cond(w)
-			for t := range probs {
-				switch mut {
-				case noAlpha:
-					probs[t] = row[t] * float64(nd[t])
-				default:
-					probs[t] = row[t] * (float64(nd[t]) + alpha)
-				}
-			}
-			if mut == noDecrement {
-				nd[z[i]]--
-			}
-			t := r.Categorical(probs)
-			z[i] = t
-			nd[t]++
-		}
-		if sweep >= burnIn {
-			for t := range theta {
-				theta[t] += (float64(nd[t]) + alpha) / den
-			}
-		}
-	}
-	inv := 1 / float64(samples)
-	for t := range theta {
-		theta[t] *= inv
-	}
-	return theta
-}
 
 // twoBucketFoldIn is a test-local copy of Engine.Infer's two-bucket kernel,
 // written out plainly — a live list searched linearly, fresh slices — so a
@@ -194,7 +131,7 @@ func oracleView(t testing.TB) *core.Frozen {
 // blocks, the last one partial. Each word leans to a few topics in
 // different blocks, and words 0 and 1 share topic 33, so the posterior
 // rewards tokens that share a topic. (A pruned column would give a topic
-// whose θ is the constant α/(N+Tα), which worstZ cannot score: its standard
+// whose θ is the constant α/(N+Tα), which oracle.Z cannot score: its standard
 // error is 0. TestDrawIntervalsOracle covers pruned columns.)
 func blocksView(t testing.TB) *core.Frozen {
 	t.Helper()
@@ -225,70 +162,33 @@ func blocksView(t testing.TB) *core.Frozen {
 // exactTheta enumerates every assignment z ∈ [0,T)^N of the document under
 // the frozen Φ, weights it by p(z | w) ∝ Π_i φ_{z_i}(w_i) · Π_t Γ(n_t+α),
 // and returns the exact posterior mean of (n_t+α)/(N+Tα) — the quantity each
-// post-burn-in sample of the fold-in estimates.
+// post-burn-in sample of the fold-in estimates. It is linear in n_t, so the
+// per-token marginals give it: E[n_t] = Σ_i P(z_i = t).
 func exactTheta(f *core.Frozen, words []int) []float64 {
 	T, N, alpha := f.T, len(words), f.Alpha
-	states := 1
-	for range words {
-		states *= T
-	}
-	den := float64(N) + float64(T)*alpha
-	mean := make([]float64, T)
 	n := make([]int, T)
-	var norm float64
-	for s := 0; s < states; s++ {
+	marg := oracle.Posterior(N, T, func(z []int) float64 {
 		clear(n)
-		logp, code := 0.0, s
-		for _, w := range words {
-			z := code % T
-			code /= T
-			n[z]++
-			logp += math.Log(f.Cond(w)[z])
+		var logp float64
+		for i, w := range words {
+			n[z[i]]++
+			logp += math.Log(f.Cond(w)[z[i]])
 		}
-		for t := range n {
-			lg, _ := math.Lgamma(float64(n[t]) + alpha)
+		for _, c := range n {
+			lg, _ := math.Lgamma(float64(c) + alpha)
 			logp += lg
 		}
-		p := math.Exp(logp)
-		norm += p
-		for t := range mean {
-			mean[t] += p * (float64(n[t]) + alpha) / den
-		}
-	}
+		return logp
+	})
+	mean := make([]float64, T)
 	for t := range mean {
-		mean[t] /= norm
+		var nt float64
+		for i := 0; i < N; i++ {
+			nt += marg[i*T+t]
+		}
+		mean[t] = (nt + alpha) / (float64(N) + float64(T)*alpha)
 	}
 	return mean
-}
-
-// worstZ runs sample(seed) for seeds 1..seeds and returns the largest
-// |mean − want| / standard error over topics.
-func worstZ(want []float64, seeds int, sample func(seed int64) []float64) float64 {
-	T := len(want)
-	sum := make([]float64, T)
-	sq := make([]float64, T)
-	for s := 1; s <= seeds; s++ {
-		theta := sample(int64(s))
-		for t, v := range theta {
-			sum[t] += v
-			sq[t] += v * v
-		}
-	}
-	worst := 0.0
-	n := float64(seeds)
-	for t := range want {
-		mean := sum[t] / n
-		variance := (sq[t] - n*mean*mean) / (n - 1)
-		se := math.Sqrt(math.Max(variance, 0) / n)
-		z := math.Inf(1)
-		if se > 0 {
-			z = math.Abs(mean-want[t]) / se
-		} else if mean == want[t] {
-			z = 0
-		}
-		worst = math.Max(worst, z)
-	}
-	return worst
 }
 
 // TestFoldInOracle checks the fold-in against the exact posterior it is
@@ -329,35 +229,30 @@ func TestFoldInOracle(t *testing.T) {
 				}
 				return e.Infer(c.words).Theta
 			}
-			if z := worstZ(want, c.seeds, engine); z > 5 {
-				t.Fatalf("Engine.Infer misses the exact posterior mean %v by %.1f standard errors", want, z)
-			}
+			oracle.MustHit(t, "Engine.Infer", want, c.seeds, engine)
 			for seed := int64(1); seed <= 20; seed++ {
 				got := twoBucketFoldIn(f, c.words, seed, burnIn, samples, exact)
 				if !slices.Equal(got, engine(seed)) {
 					t.Fatalf("seed %d: the two-bucket copy diverges from Engine.Infer", seed)
 				}
 			}
-			for _, m := range []struct {
-				name string
-				mut  mutation
-				run  func(*core.Frozen, []int, int64, int, int, mutation) []float64
-			}{
-				{"no-alpha", noAlpha, refFoldIn},
-				{"no-decrement", noDecrement, refFoldIn},
-				{"smoothing-without-alpha", smoothNoAlpha, twoBucketFoldIn},
-				{"document-plus-alpha", docPlusAlpha, twoBucketFoldIn},
-				{"stale-live-topic", staleLive, twoBucketFoldIn},
-			} {
-				broken := func(seed int64) []float64 {
-					return m.run(f, c.words, seed, burnIn, samples, m.mut)
-				}
-				if z := worstZ(want, c.seeds, broken); z <= 5 {
-					t.Errorf("%s kernel passes the oracle (%.1f standard errors): the check cannot see it", m.name, z)
-				} else {
-					t.Logf("%s kernel misses by %.1f standard errors", m.name, z)
+			dense := func(fault oracle.Fault) func(int64) []float64 {
+				return func(seed int64) []float64 {
+					return oracle.FoldIn(f.Cond, f.T, f.V, f.Alpha, c.words, seed, burnIn, samples, fault)
 				}
 			}
+			twoBucket := func(mut mutation) func(int64) []float64 {
+				return func(seed int64) []float64 {
+					return twoBucketFoldIn(f, c.words, seed, burnIn, samples, mut)
+				}
+			}
+			oracle.MustMiss(t, want, c.seeds, []oracle.Mutation{
+				{Name: "no-alpha", Sample: dense(oracle.NoAlpha)},
+				{Name: "no-decrement", Sample: dense(oracle.NoDecrement)},
+				{Name: "smoothing-without-alpha", Sample: twoBucket(smoothNoAlpha)},
+				{Name: "document-plus-alpha", Sample: twoBucket(docPlusAlpha)},
+				{Name: "stale-live-topic", Sample: twoBucket(staleLive)},
+			})
 		})
 	}
 }
