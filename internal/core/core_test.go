@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -296,6 +297,10 @@ func TestTopicDocumentFrequenciesAndTokens(t *testing.T) {
 		if f < 0 || f > cs.Corpus.NumDocs() {
 			t.Fatalf("doc frequency %d out of range", f)
 		}
+	}
+	// Result counts them in Θ's pass; it must agree with the counting pass.
+	if got := m.Result().DocFrequencies; !slices.Equal(got, df) {
+		t.Fatalf("Result document frequencies %v, TopicDocumentFrequencies(1) %v", got, df)
 	}
 }
 

@@ -522,21 +522,33 @@ func (m *ChainRuntime) Phi() [][]float64 {
 
 // Theta returns document-topic distributions per Eq. 1 with K := T topics.
 func (m *ChainRuntime) Theta() [][]float64 {
+	theta, _ := m.thetaAndDocFrequencies()
+	return theta
+}
+
+// thetaAndDocFrequencies returns Theta and TopicDocumentFrequencies(1) from
+// one pass over the assignments: the loop that normalizes each document's
+// row already visits every topic's count.
+func (m *ChainRuntime) thetaAndDocFrequencies() ([][]float64, []int) {
 	alpha := m.opts.Alpha
 	tAlpha := float64(m.T) * alpha
 	theta := make([][]float64, m.D)
+	df := make([]int, m.T)
 	for d, zd := range m.z {
 		row := make([]float64, m.T)
 		for _, t := range zd {
 			row[t]++
 		}
 		den := float64(len(zd)) + tAlpha
-		for t := range row {
-			row[t] = (row[t] + alpha) / den
+		for t, n := range row {
+			if n > 0 {
+				df[t]++
+			}
+			row[t] = (n + alpha) / den
 		}
 		theta[d] = row
 	}
-	return theta
+	return theta, df
 }
 
 // Assignments returns live per-token topic assignments ([doc][token]); do

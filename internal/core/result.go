@@ -41,12 +41,12 @@ type Result struct {
 func (m *Model) Result() *Result {
 	r := &Result{
 		Phi:           m.Phi(),
-		Theta:         m.Theta(),
 		Labels:        m.Labels(),
 		NumFreeTopics: m.K,
 		Alpha:         m.opts.Alpha,
 		TokenCounts:   m.TokensPerTopic(),
 	}
+	r.Theta, r.DocFrequencies = m.thetaAndDocFrequencies()
 	r.SourceIndices = make([]int, m.T)
 	for t := 0; t < m.T; t++ {
 		r.SourceIndices[t] = m.SourceIndex(t)
@@ -57,7 +57,6 @@ func (m *Model) Result() *Result {
 		copy(row, m.z[d])
 		r.Assignments[d] = row
 	}
-	r.DocFrequencies = m.TopicDocumentFrequencies(1)
 	r.LikelihoodTrace = append([]float64(nil), m.LikelihoodTrace...)
 	r.IterationTimes = append([]time.Duration(nil), m.IterationTimes...)
 	return r
