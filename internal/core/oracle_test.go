@@ -151,21 +151,27 @@ func (ot *oracleTarget) conditional(z []int, i int, out []float64) {
 	w, d := ot.words[i], ot.docs[i]
 	var sum float64
 	for t := range out {
-		var p float64
-		if t < ot.K {
-			p = (nwt[w][t] + ot.beta) / (nt[t] + float64(ot.V)*ot.beta)
-		} else {
-			s := t - ot.K
-			for q, pi := range ot.weight {
-				p += pi * (nwt[w][t] + ot.delta[s][w*ot.P+q]) / (nt[t] + ot.total[s][q])
-			}
-		}
-		out[t] = p * (ndt[d][t] + ot.alpha)
+		out[t] = ot.wordLik(w, t, nwt[w][t], nt[t]) * (ndt[d][t] + ot.alpha)
 		sum += out[t]
 	}
 	for t := range out {
 		out[t] /= sum
 	}
+}
+
+// wordLik is Eq. 2/3's word factor of topic t for word w, given the topic's
+// count nw of w and its total n: (nw+β)/(n+Vβ) for a free topic, and
+// Σ_p π_p (nw+δ_w^{e_p})/(n+Σ_v δ_v^{e_p}) for a source topic.
+func (ot *oracleTarget) wordLik(w, t int, nw, n float64) float64 {
+	if t < ot.K {
+		return (nw + ot.beta) / (n + float64(ot.V)*ot.beta)
+	}
+	s := t - ot.K
+	var p float64
+	for q, pi := range ot.weight {
+		p += pi * (nw + ot.delta[s][w*ot.P+q]) / (n + ot.total[s][q])
+	}
+	return p
 }
 
 // joint returns the per-token marginals of p(z | w) enumerated from the

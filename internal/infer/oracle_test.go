@@ -162,12 +162,10 @@ func blocksView(t testing.TB) *core.Frozen {
 // exactTheta enumerates every assignment z ∈ [0,T)^N of the document under
 // the frozen Φ, weights it by p(z | w) ∝ Π_i φ_{z_i}(w_i) · Π_t Γ(n_t+α),
 // and returns the exact posterior mean of (n_t+α)/(N+Tα) — the quantity each
-// post-burn-in sample of the fold-in estimates. It is linear in n_t, so the
-// per-token marginals give it: E[n_t] = Σ_i P(z_i = t).
+// post-burn-in sample of the fold-in estimates.
 func exactTheta(f *core.Frozen, words []int) []float64 {
-	T, N, alpha := f.T, len(words), f.Alpha
-	n := make([]int, T)
-	marg := oracle.Posterior(N, T, func(z []int) float64 {
+	n := make([]int, f.T)
+	marg := oracle.Posterior(len(words), f.T, func(z []int) float64 {
 		clear(n)
 		var logp float64
 		for i, w := range words {
@@ -175,20 +173,12 @@ func exactTheta(f *core.Frozen, words []int) []float64 {
 			logp += math.Log(f.Cond(w)[z[i]])
 		}
 		for _, c := range n {
-			lg, _ := math.Lgamma(float64(c) + alpha)
+			lg, _ := math.Lgamma(float64(c) + f.Alpha)
 			logp += lg
 		}
 		return logp
 	})
-	mean := make([]float64, T)
-	for t := range mean {
-		var nt float64
-		for i := 0; i < N; i++ {
-			nt += marg[i*T+t]
-		}
-		mean[t] = (nt + alpha) / (float64(N) + float64(T)*alpha)
-	}
-	return mean
+	return oracle.Theta(marg, len(words), f.T, f.Alpha, nil)
 }
 
 // TestFoldInOracle checks the fold-in against the exact posterior it is

@@ -131,6 +131,31 @@ func Stationary(t testing.TB, N, T int, cond func(z []int, i int, out []float64)
 	return nil
 }
 
+// Theta returns E[(n_t+α)/(N+T'α)] for one document of N tokens from its
+// per-token marginals, where n_t counts its tokens in topic t and T' the
+// topics off does not mark; a marked topic reads 0 (nil off marks none). The
+// mean is linear in n_t, so E[n_t] = Σ_i P(z_i = t) gives it exactly.
+func Theta(marg []float64, N, T int, alpha float64, off []bool) []float64 {
+	live := T
+	for _, o := range off {
+		if o {
+			live--
+		}
+	}
+	theta := make([]float64, T)
+	for t := range theta {
+		if off != nil && off[t] {
+			continue
+		}
+		var n float64
+		for i := 0; i < N; i++ {
+			n += marg[i*T+t]
+		}
+		theta[t] = (n + alpha) / (float64(N) + float64(live)*alpha)
+	}
+	return theta
+}
+
 // Z runs sample(seed) for seeds 1..seeds and returns the largest
 // |mean − want| / standard error over the entries of want, and the largest
 // |mean − want|. An entry whose samples never vary scores 0 when its mean is
