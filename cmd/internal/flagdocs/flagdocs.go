@@ -1,14 +1,17 @@
-// Package flagdocs is the docs-drift gate the cmd/* test suites share: it
-// diffs a command's defined flag set against its documented flag table in
-// docs/OPERATIONS.md, in both directions, so the table cannot silently rot
-// when a flag is added, renamed, or removed. CI runs it as its "Flag docs"
-// step.
+// Package flagdocs holds the checks the cmd/* test suites share. Check is
+// the docs-drift gate: it diffs a command's defined flag set against its
+// documented flag table in docs/OPERATIONS.md, in both directions, so the
+// table cannot silently rot when a flag is added, renamed, or removed; CI
+// runs it as its "Flag docs" step. CheckDeps pins the in-repo packages a
+// command links, so a package joins a product binary only on purpose.
 package flagdocs
 
 import (
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,6 +36,27 @@ func Check(t *testing.T, fs *flag.FlagSet, section string) {
 		if !defined[name] {
 			t.Errorf("%s documents -%s under %s, which the binary does not define", docPath, name, section)
 		}
+	}
+}
+
+// CheckDeps asserts that the in-repo packages importPath links, itself
+// included, are exactly want (sorted). It skips when no go toolchain is on
+// the path.
+func CheckDeps(t *testing.T, importPath string, want []string) {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain to list dependencies with")
+	}
+	out, err := exec.Command(goBin, "list", "-deps",
+		"-f", "{{if not .Standard}}{{.ImportPath}}{{end}}", importPath).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	got := strings.Fields(string(out))
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s links\n  %s\nwant\n  %s", importPath, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }
 

@@ -1,10 +1,9 @@
 package main
 
 import (
-	"os/exec"
-	"slices"
-	"strings"
 	"testing"
+
+	"sourcelda/cmd/internal/flagdocs"
 )
 
 // srcldadDeps is every in-repo package the serving daemon links, itself
@@ -33,18 +32,5 @@ var srcldadDeps = []string{
 
 // TestDeps pins the in-repo package set srcldad links against srcldadDeps.
 func TestDeps(t *testing.T) {
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("no go toolchain to list dependencies with")
-	}
-	out, err := exec.Command(goBin, "list", "-deps",
-		"-f", "{{if not .Standard}}{{.ImportPath}}{{end}}", "sourcelda/cmd/srcldad").CombinedOutput()
-	if err != nil {
-		t.Fatalf("go list: %v\n%s", err, out)
-	}
-	got := strings.Fields(string(out))
-	slices.Sort(got)
-	if !slices.Equal(got, srcldadDeps) {
-		t.Fatalf("srcldad links\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(srcldadDeps, "\n  "))
-	}
+	flagdocs.CheckDeps(t, "sourcelda/cmd/srcldad", srcldadDeps)
 }
