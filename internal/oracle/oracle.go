@@ -243,10 +243,10 @@ const (
 // in one pass over T, binary-search u·total in it (rng.Categorical for a
 // degenerate total), increment. After burnIn sweeps it averages
 // (n_{d,t}+α)/(N+Tα) over samples sweeps. Words outside [0, V) are dropped;
-// a document with none returns nil. It is the kernel the fold-in engine ran
-// before its two-bucket draw, and returns the bits that engine did; the
-// long-chain reference of the fold-in reference test is this kernel run for
-// thousands of samples.
+// a document with none returns nil. It is the kernel infer.Engine ran before
+// its two-bucket draw, and returns the bits that engine did at the same
+// schedule; TestFoldInReference's long-chain reference is this kernel run
+// for 4,000 samples.
 func FoldIn(cond func(w int) []float64, T, V int, alpha float64, words []int, seed int64, burnIn, samples int, fault Fault) []float64 {
 	var known []int
 	for _, w := range words {
